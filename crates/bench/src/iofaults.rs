@@ -2,9 +2,10 @@
 //! and service write paths.
 //!
 //! Each *schedule* (a `CMR_FAILPOINTS`-grammar string, seeded) is run
-//! against an in-process journaled extraction and/or a service burst,
-//! and the sweep asserts the robustness invariants the rest of the
-//! system promises:
+//! against the shipped durable loop ([`DurableRun`], which `cmr extract`
+//! drives) over an NDJSON corpus file, or against a service burst, and
+//! the sweep asserts the robustness invariants the rest of the system
+//! promises:
 //!
 //! * **clean containment** — an injected ENOSPC, torn write, delay, or
 //!   panic never takes the harness down and never corrupts state beyond
@@ -25,9 +26,8 @@
 use cmr_core::Schema;
 use cmr_corpus::CorpusBuilder;
 use cmr_engine::{
-    merge_outputs, read_journal, shard_of, verify_output_prefix, Engine, EngineConfig,
-    JournalEntry, JournalWriter, OutputFingerprint, QuarantineFile, RetryPolicy, RunManifest,
-    Snapshot,
+    merge_artifacts, read_journal, shard_path, DurableRun, Engine, EngineConfig, JournalPolicy,
+    Output, RetryPolicy, RunInput, RunOutcome, ShardSpec,
 };
 use cmr_failpoint::FailpointRegistry;
 use cmr_ontology::Ontology;
@@ -92,6 +92,34 @@ impl IoFaultReport {
     }
 }
 
+/// The sweep's table: one row per schedule, its violations under it.
+impl std::fmt::Display for IoFaultReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "io-fault sweep: {} record(s), seed {}, {} schedule(s)",
+            self.records,
+            self.seed,
+            self.schedules.len()
+        )?;
+        write!(f, "kind        fires  abort  ok  schedule")?;
+        for s in &self.schedules {
+            let abort = if s.clean_abort { "yes" } else { "no" };
+            let ok = if s.violations.is_empty() {
+                "ok"
+            } else {
+                "FAIL"
+            };
+            let (kind, fires, schedule) = (&s.kind, s.fires, &s.schedule);
+            write!(f, "\n{kind:<11} {fires:<6} {abort:<6} {ok:<3} {schedule}")?;
+            for v in &s.violations {
+                write!(f, "\n            violation: {v}")?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The built-in schedule matrix: every registered write-path failpoint
 /// crossed with the action classes that stress it.
 fn standard_schedules() -> Vec<&'static str> {
@@ -111,9 +139,9 @@ fn standard_schedules() -> Vec<&'static str> {
         // stays byte-identical to the unfaulted baseline.
         "engine::record=panic@3",
         // Sharded-run schedules: a 3-way sharded, compaction-enabled
-        // extraction where one shard "dies" mid-run (the in-process
-        // stand-in for kill -9 on a supervisor-managed subprocess) or
-        // compaction itself hits ENOSPC. Resuming the dead shard and
+        // extraction where one shard "dies" mid-run (the `shard::kill`
+        // failpoint in the durable loop stands in for kill -9 on a
+        // supervisor-managed subprocess) or compaction itself hits ENOSPC. Resuming the dead shard and
         // merging must reproduce the unsharded baseline byte-for-byte,
         // and compaction must keep every healed journal O(interval).
         "shard::kill=return-err@5",
@@ -143,14 +171,20 @@ pub fn run_io_faults(cfg: &IoFaultConfig) -> Result<IoFaultReport, String> {
     let dir = std::env::temp_dir().join(format!("cmr-io-faults-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
 
-    let texts: Vec<String> = CorpusBuilder::new()
+    // The corpus as an NDJSON file, one JSON-string note per line: every
+    // run reads it the way `cmr extract --ndjson` does.
+    let corpus = dir.join("corpus.ndjson");
+    let mut ndjson = String::new();
+    for record in CorpusBuilder::new()
         .records(cfg.records.max(1))
         .seed(cfg.seed)
         .build()
         .records
-        .into_iter()
-        .map(|r| r.text)
-        .collect();
+    {
+        ndjson.push_str(&serde_json::to_string(&record.text).map_err(|e| format!("{e:?}"))?);
+        ndjson.push('\n');
+    }
+    std::fs::write(&corpus, ndjson).map_err(|e| format!("writing {}: {e}", corpus.display()))?;
     let engine_cfg = EngineConfig {
         jobs: cfg.jobs,
         ..EngineConfig::default()
@@ -176,9 +210,11 @@ pub fn run_io_faults(cfg: &IoFaultConfig) -> Result<IoFaultReport, String> {
         ..EngineConfig::default()
     };
     cmr_failpoint::clear();
-    let baseline = unfaulted_baseline(&texts, &engine_cfg);
-    let poison_baseline = unfaulted_baseline(&texts, &poison_cfg);
-    let retry_baseline = unfaulted_baseline(&texts, &retry_cfg);
+    let baseline = unfaulted_baseline(&corpus, &engine_cfg, &dir.join("baseline.ndjson"))?;
+    let poison_baseline =
+        unfaulted_baseline(&corpus, &poison_cfg, &dir.join("poison-baseline.ndjson"))?;
+    let retry_baseline =
+        unfaulted_baseline(&corpus, &retry_cfg, &dir.join("retry-baseline.ndjson"))?;
 
     let mut reports = Vec::with_capacity(schedules.len());
     for (idx, schedule) in schedules.iter().enumerate() {
@@ -187,40 +223,32 @@ pub fn run_io_faults(cfg: &IoFaultConfig) -> Result<IoFaultReport, String> {
             reg = FailpointRegistry::parse(&format!("{schedule};seed={}", cfg.seed))?;
         }
         let spec = reg.to_spec();
-        let kind = classify(schedule);
-        let report = match kind {
+        let sdir = dir.join(format!("sched-{idx}"));
+        let report = match classify(schedule) {
             "serve" => run_serve_schedule(&spec),
-            "shard" => run_shard_schedule(&spec, schedule, &texts, &engine_cfg, &baseline, {
-                &dir.join(format!("sched-{idx}"))
-            }),
-            "quarantine" => {
-                run_journal_schedule(&spec, schedule, &texts, &poison_cfg, &poison_baseline, {
-                    &dir.join(format!("sched-{idx}"))
-                })
+            kind => {
+                let (cfg, baseline) = match kind {
+                    "quarantine" => (&poison_cfg, &poison_baseline),
+                    "engine" => (&retry_cfg, &retry_baseline),
+                    _ => (&engine_cfg, &baseline),
+                };
+                run_durable_schedule(&spec, schedule, &corpus, cfg, baseline, &sdir)
             }
-            "engine" => {
-                run_journal_schedule(&spec, schedule, &texts, &retry_cfg, &retry_baseline, {
-                    &dir.join(format!("sched-{idx}"))
-                })
-            }
-            _ => run_journal_schedule(&spec, schedule, &texts, &engine_cfg, &baseline, {
-                &dir.join(format!("sched-{idx}"))
-            }),
         };
         reports.push(report);
     }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(IoFaultReport {
         seed: cfg.seed,
-        records: texts.len(),
+        records: baseline.lines().count(),
         schedules: reports,
     })
 }
 
 fn classify(schedule: &str) -> &'static str {
     if schedule.contains("shard::") || schedule.contains("journal::compact") {
-        // `journal::compact` only has a site in the compaction-enabled
-        // sharded runner; the plain journaled phases never compact.
+        // `journal::compact` only fires in compacting runs, and only the
+        // shard schedules compact.
         "shard"
     } else if schedule.contains("serve::") {
         "serve"
@@ -233,528 +261,186 @@ fn classify(schedule: &str) -> &'static str {
     }
 }
 
-/// Output lines of an unfaulted, unjournaled run — the identity target.
-fn unfaulted_baseline(texts: &[String], cfg: &EngineConfig) -> Vec<String> {
-    let engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full());
-    let mut lines = Vec::with_capacity(texts.len());
-    engine.extract_stream(texts.iter().cloned(), |_idx, result| {
-        lines.push(serde_json::to_string(&result).unwrap_or_default());
-    });
-    lines
-}
-
-/// What one journaled phase produced.
-struct JournalPhase {
-    /// Lines emitted downstream (post-journal, in order).
-    emitted: Vec<String>,
-    /// A contained fault ended the run early (the message).
-    abort: Option<String>,
-}
-
-/// Mirrors the CLI's journaled write-ahead loop: append, then emit; a
-/// failed append raises the shutdown flag and suppresses both further
-/// journaling and emission (nothing un-journaled escapes downstream).
-fn run_journal_phase(
-    texts: &[String],
-    jpath: &Path,
-    cfg: &EngineConfig,
-    quarantine: Option<&Path>,
-    resume: bool,
-) -> JournalPhase {
-    let manifest = RunManifest::for_run(cfg, texts);
-    let mut emitted = Vec::new();
-    // A journal with no complete line died before its manifest landed;
-    // nothing was journaled or emitted, so resume restarts it fresh
-    // (mirroring the CLI's crash-at-birth healing).
-    let journal_born = jpath.exists()
-        && std::fs::read(jpath)
-            .map(|bytes| bytes.contains(&b'\n'))
-            .unwrap_or(false);
-    let (mut writer, start) = if resume && journal_born {
-        let read = match read_journal(jpath) {
-            Ok(r) => r,
-            Err(e) => {
-                return JournalPhase {
-                    emitted,
-                    abort: Some(format!("reading journal: {e}")),
-                }
-            }
-        };
-        if let Some(why) = read.manifest.mismatch(&manifest) {
-            return JournalPhase {
-                emitted,
-                abort: Some(format!("manifest mismatch: {why}")),
-            };
-        }
-        for entry in &read.entries {
-            emitted.push(serde_json::to_string(&entry.output).unwrap_or_default());
-        }
-        let start = read.entries.len();
-        match JournalWriter::append_to(jpath, read.valid_len) {
-            Ok(w) => (w, start),
-            Err(e) => {
-                return JournalPhase {
-                    emitted,
-                    abort: Some(format!("reopening journal: {e}")),
-                }
-            }
-        }
-    } else {
-        match JournalWriter::create(jpath, &manifest) {
-            Ok(w) => (w, 0),
-            Err(e) => {
-                return JournalPhase {
-                    emitted,
-                    abort: Some(format!("creating journal: {e}")),
-                }
-            }
-        }
-    };
-
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let mut engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full())
-        .with_shutdown(Arc::clone(&shutdown));
-    if let Some(qpath) = quarantine {
-        if let Ok(q) = QuarantineFile::create(qpath) {
-            engine = engine.with_quarantine(q);
-        }
-    }
-    let mut abort: Option<String> = None;
-    engine.extract_stream(texts.iter().skip(start).cloned(), |idx, result| {
-        let entry = JournalEntry {
-            index: start + idx,
-            output: result,
-        };
-        if abort.is_none() {
-            if let Err(e) = writer.append(&entry) {
-                abort = Some(format!("journal append: {e}"));
-                shutdown.store(true, Ordering::Relaxed);
-            }
-        }
-        if abort.is_none() {
-            emitted.push(serde_json::to_string(&entry.output).unwrap_or_default());
-        }
-    });
-    JournalPhase { emitted, abort }
-}
-
-/// One journal/quarantine schedule: faulted phase (in a thread, so an
-/// injected panic is contained), clear, resume, then the invariants.
-fn run_journal_schedule(
-    spec: &str,
-    schedule: &str,
-    texts: &[String],
-    cfg: &EngineConfig,
-    baseline: &[String],
-    dir: &Path,
-) -> ScheduleReport {
-    let _ = std::fs::create_dir_all(dir);
-    let mut violations = Vec::new();
-
-    // Faulted phase, twice (the second run only to pin replay
-    // determinism: same schedule + seed must fire identically). The
-    // `journal::truncate` point only exists on the resume path, so those
-    // schedules pre-build an unfaulted journal and fault its reopening.
-    let fault_on_resume = schedule.contains("journal::truncate");
-    let mut phases = Vec::new();
-    let mut event_logs = Vec::new();
-    for round in 0..2 {
-        let jpath = dir.join(format!("round-{round}.journal"));
-        let qpath = dir.join(format!("round-{round}.quarantine"));
-        let quarantine = classify(schedule) == "quarantine";
-        if fault_on_resume {
-            let built = run_journal_phase(texts, &jpath, cfg, None, false);
-            if let Some(e) = built.abort {
-                violations.push(format!("pre-building the journal failed: {e}"));
-                break;
-            }
-        }
-        if let Err(e) = FailpointRegistry::parse(spec).and_then(FailpointRegistry::install) {
-            violations.push(format!("installing schedule: {e}"));
-            break;
-        }
-        let run = {
-            let (texts, cfg, jpath, qpath) = (texts.to_vec(), cfg.clone(), jpath.clone(), qpath);
-            std::thread::spawn(move || {
-                run_journal_phase(
-                    &texts,
-                    &jpath,
-                    &cfg,
-                    quarantine.then_some(qpath.as_path()),
-                    fault_on_resume,
-                )
-            })
-            .join()
-        };
-        event_logs.push(cmr_failpoint::events());
-        cmr_failpoint::clear();
-        phases.push(match run {
-            Ok(phase) => phase,
-            Err(_) => JournalPhase {
-                emitted: Vec::new(),
-                abort: Some("panicked (contained)".to_string()),
-            },
-        });
-    }
-    let fires = event_logs.first().map_or(0, Vec::len);
-    if event_logs.len() == 2 && event_logs[0] != event_logs[1] {
-        violations.push(format!(
-            "replay diverged: round 1 fired {:?}, round 2 fired {:?}",
-            event_logs[0], event_logs[1]
-        ));
-    }
-    let clean_abort = phases.first().is_some_and(|p| p.abort.is_some());
-
-    // Recovery: resume round 0's journal with faults cleared. The final
-    // output (replayed prefix + remainder) must be byte-identical to the
-    // unfaulted baseline, whatever the fault did.
-    if let Some(first) = phases.first() {
-        let jpath = dir.join("round-0.journal");
-        let quarantine = classify(schedule) == "quarantine";
-        let qpath = dir.join("resume.quarantine");
-        let resumed = run_journal_phase(
-            texts,
-            &jpath,
-            cfg,
-            quarantine.then_some(qpath.as_path()),
-            jpath.exists(),
-        );
-        if let Some(e) = resumed.abort {
-            violations.push(format!("resume after fault aborted: {e}"));
-        } else {
-            if resumed.emitted != baseline {
-                violations.push(format!(
-                    "resume output diverged from the unfaulted baseline \
-                     ({} vs {} line(s))",
-                    resumed.emitted.len(),
-                    baseline.len()
-                ));
-            }
-            // Exactly-once: the healed journal holds records 0..n with
-            // no gaps or duplicates (read_journal rejects both), and the
-            // faulted phase emitted only a prefix of the baseline —
-            // nothing a consumer saw is outside the journal.
-            match read_journal(&jpath) {
-                Ok(read) => {
-                    if read.entries.len() != texts.len() {
-                        violations.push(format!(
-                            "journal holds {} of {} record(s) after resume",
-                            read.entries.len(),
-                            texts.len()
-                        ));
-                    }
-                }
-                Err(e) => violations.push(format!("journal unreadable after resume: {e}")),
-            }
-            if first.emitted != baseline[..first.emitted.len().min(baseline.len())] {
-                violations.push(
-                    "faulted phase emitted lines that are not a prefix of the baseline".to_string(),
-                );
-            }
-        }
-    }
-    ScheduleReport {
-        schedule: spec.to_string(),
-        kind: classify(schedule).to_string(),
-        fires,
-        clean_abort,
-        violations,
-    }
+/// Output of an unfaulted, unjournaled run — the identity target.
+fn unfaulted_baseline(corpus: &Path, cfg: &EngineConfig, out: &Path) -> Result<String, String> {
+    DurableRun::new(
+        Engine::new(cfg.clone(), Schema::paper(), Ontology::full()),
+        RunInput::NdjsonFile(corpus.to_path_buf()),
+        Output::File(out.to_path_buf()),
+    )
+    .run()?;
+    std::fs::read_to_string(out).map_err(|e| format!("reading {}: {e}", out.display()))
 }
 
 /// How many ways the shard schedules partition the corpus.
 const SHARD_WAYS: usize = 3;
-/// Compaction interval of the sharded phases: small enough that every
+/// Compaction interval of the sharded runs: small enough that every
 /// shard snapshots several times, so `journal::compact` faults have a
 /// site to hit and the O(remainder) bound is actually exercised.
-const SHARD_COMPACT_EVERY: usize = 4;
+const SHARD_COMPACT_EVERY: u64 = 4;
 
-/// One shard phase: the in-process analogue of a single
-/// `cmr extract --shard s/N --compact-every K` subprocess. Write-ahead
-/// journal, durable output file (the compacted-away prefix lives only
-/// there), periodic snapshot-and-truncate compaction. The synthetic
-/// `shard::kill` failpoint is checked between records: a fire is "this
-/// shard died here", leaving journal and output as a clean prefix for
-/// the supervisor's restart to heal. Returns the abort message, if any.
-fn run_shard_phase(
-    texts: &[String],
-    jpath: &Path,
-    opath: &Path,
+/// One `cmr extract --ndjson CORPUS --journal … --resume` run, shard
+/// `index` of `ways` (unsharded when `ways` is 1), with the artifacts
+/// `cmr orchestrate` gives a shard in `dir`. Runs in a thread of its own
+/// so an injected panic is contained; `Some(why)` when it did not
+/// complete.
+fn run_shard(
+    corpus: &Path,
     cfg: &EngineConfig,
-    resume: bool,
-    compact_every: usize,
+    dir: &Path,
+    index: usize,
+    ways: usize,
 ) -> Option<String> {
-    use std::io::{BufReader, Seek, SeekFrom};
-
-    let manifest = RunManifest::for_run(cfg, texts);
-    let journal_born = jpath.exists()
-        && std::fs::read(jpath)
-            .map(|bytes| bytes.contains(&b'\n'))
-            .unwrap_or(false);
-    let (writer, start, mut fingerprint, out) = if resume && journal_born {
-        let read = match read_journal(jpath) {
-            Ok(r) => r,
-            Err(e) => return Some(format!("reading journal: {e}")),
-        };
-        if let Some(why) = read.manifest.mismatch(&manifest) {
-            return Some(format!("manifest mismatch: {why}"));
-        }
-        let (mut out, mut fingerprint) = if let Some(snap) = &read.snapshot {
-            // The compacted-away prefix exists only in the output file:
-            // prove it is exactly what the snapshot fingerprinted, drop
-            // any un-journaled tail, and continue appending after it.
-            let f = match std::fs::File::open(opath) {
-                Ok(f) => f,
-                Err(e) => return Some(format!("opening shard output: {e}")),
-            };
-            let (valid, fp) = match verify_output_prefix(&mut BufReader::new(f), snap) {
-                Ok(v) => v,
-                Err(e) => return Some(format!("verifying shard output: {e}")),
-            };
-            let mut f = match std::fs::OpenOptions::new().write(true).open(opath) {
-                Ok(f) => f,
-                Err(e) => return Some(format!("reopening shard output: {e}")),
-            };
-            if let Err(e) = f
-                .set_len(valid)
-                .and_then(|_| f.seek(SeekFrom::Start(valid)).map(|_| ()))
-            {
-                return Some(format!("truncating shard output: {e}"));
-            }
-            (f, fp)
-        } else {
-            // Uncompacted journal: rebuild the output from the replay.
-            match std::fs::File::create(opath) {
-                Ok(f) => (f, OutputFingerprint::new()),
-                Err(e) => return Some(format!("recreating shard output: {e}")),
-            }
-        };
-        for entry in &read.entries {
-            let line = serde_json::to_string(&entry.output).unwrap_or_default();
-            if let Err(e) = writeln!(out, "{line}") {
-                return Some(format!("replaying shard output: {e}"));
-            }
-            fingerprint.add_line(&line);
-        }
-        let writer = match JournalWriter::append_to(jpath, read.valid_len) {
-            Ok(w) => w,
-            Err(e) => return Some(format!("reopening journal: {e}")),
-        };
-        (writer, read.completed(), fingerprint, out)
-    } else {
-        let writer = match JournalWriter::create(jpath, &manifest) {
-            Ok(w) => w,
-            Err(e) => return Some(format!("creating journal: {e}")),
-        };
-        let out = match std::fs::File::create(opath) {
-            Ok(f) => f,
-            Err(e) => return Some(format!("creating shard output: {e}")),
-        };
-        (writer, 0, OutputFingerprint::new(), out)
+    let run = || {
+        let mut run = DurableRun::new(
+            Engine::new(cfg.clone(), Schema::paper(), Ontology::full()),
+            RunInput::NdjsonFile(corpus.to_path_buf()),
+            Output::File(shard_path(dir, index, "out.ndjson")),
+        );
+        run.journal = Some(JournalPolicy {
+            path: shard_path(dir, index, "journal"),
+            resume: true,
+            compact_every: if ways > 1 { SHARD_COMPACT_EVERY } else { 0 },
+        });
+        run.shard = (ways > 1).then_some(ShardSpec { index, total: ways });
+        run.quarantine = Some(shard_path(dir, index, "quarantine.ndjson"));
+        run.run()
     };
-    let mut writer = writer;
-    let mut out = std::io::BufWriter::new(out);
-
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full())
-        .with_shutdown(Arc::clone(&shutdown));
-    let mut abort: Option<String> = None;
-    engine.extract_stream(texts.iter().skip(start).cloned(), |idx, result| {
-        if abort.is_some() {
-            return;
-        }
-        if let Some(inj) = cmr_failpoint::io_inject("shard::kill") {
-            abort = Some(format!("shard killed: {}", inj.into_io_error()));
-            shutdown.store(true, Ordering::Relaxed);
-            return;
-        }
-        let entry = JournalEntry {
-            index: start + idx,
-            output: result,
-        };
-        if let Err(e) = writer.append(&entry) {
-            abort = Some(format!("journal append: {e}"));
-            shutdown.store(true, Ordering::Relaxed);
-            return;
-        }
-        let line = serde_json::to_string(&entry.output).unwrap_or_default();
-        if let Err(e) = writeln!(out, "{line}") {
-            abort = Some(format!("shard output write: {e}"));
-            shutdown.store(true, Ordering::Relaxed);
-            return;
-        }
-        fingerprint.add_line(&line);
-        let done = start + idx + 1;
-        if compact_every > 0 && done % compact_every == 0 {
-            // The output must be durable before the entry lines vanish:
-            // after compaction the journal proves only the snapshot,
-            // whose fingerprint must describe bytes that survive a crash.
-            if let Err(e) = out.flush() {
-                abort = Some(format!("shard output flush: {e}"));
-                shutdown.store(true, Ordering::Relaxed);
-                return;
-            }
-            let snap = Snapshot {
-                completed: done,
-                output_fingerprint: fingerprint.as_hex(),
-            };
-            match JournalWriter::compact(jpath, &manifest, &snap) {
-                Ok(w) => writer = w,
-                Err(e) => {
-                    abort = Some(format!("journal compact: {e}"));
-                    shutdown.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-    });
-    if abort.is_none() {
-        if let Err(e) = out.flush() {
-            abort = Some(format!("shard output flush: {e}"));
-        }
+    match std::thread::scope(|scope| scope.spawn(run).join()) {
+        Err(_) => Some("panicked (contained)".to_string()),
+        Ok(Err(e)) => Some(e),
+        Ok(Ok(report)) => match report.outcome {
+            RunOutcome::Complete => None,
+            RunOutcome::Interrupted => Some("interrupted".to_string()),
+            RunOutcome::Aborted(abort) => Some(abort.to_string()),
+        },
     }
-    abort
 }
 
-/// One shard schedule: a 3-way sharded, compaction-enabled run where the
-/// schedule kills a shard or faults compaction (faulted phase, twice, to
-/// pin replay determinism), then — faults cleared — every shard is
-/// resumed and the outputs merged. The invariants: merged output
-/// byte-identical to the unsharded baseline, every healed journal
-/// bounded by the compaction interval, every shard's journal accounting
-/// for exactly its slice.
-fn run_shard_schedule(
+/// One durable-run schedule: the faulted run (twice — the second round
+/// only pins replay determinism: same schedule and seed must fire the
+/// same events), then, faults cleared, every shard resumes from its
+/// journal as `cmr orchestrate` restarts them and the artifacts merge as
+/// `cmr merge` does. Shard schedules split the corpus 3 ways and compact;
+/// the rest run it whole. The invariants: each faulted output is a
+/// prefix of its slice of the baseline (nothing unjournaled escaped),
+/// the merged output equals the baseline byte for byte, and every healed
+/// journal accounts for exactly its slice within the compaction bound.
+fn run_durable_schedule(
     spec: &str,
-    _schedule: &str,
-    texts: &[String],
+    schedule: &str,
+    corpus: &Path,
     cfg: &EngineConfig,
-    baseline: &[String],
+    baseline: &str,
     dir: &Path,
 ) -> ScheduleReport {
-    let _ = std::fs::create_dir_all(dir);
+    let kind = classify(schedule);
+    let ways = if kind == "shard" { SHARD_WAYS } else { 1 };
+    let round_dir = |round: usize| dir.join(format!("round-{round}"));
+    let records = baseline.lines().count();
+    let slice = |s: usize| -> String {
+        let spec = ShardSpec {
+            index: s,
+            total: ways,
+        };
+        let owned = baseline.lines().enumerate().filter(|(g, _)| spec.owns(*g));
+        owned.map(|(_, l)| format!("{l}\n")).collect()
+    };
     let mut violations = Vec::new();
-
-    // The corpus slice each `--shard s/3` subprocess would own.
-    let shard_texts: Vec<Vec<String>> = (0..SHARD_WAYS)
-        .map(|s| {
-            texts
-                .iter()
-                .enumerate()
-                .filter(|(g, _)| shard_of(*g, SHARD_WAYS) == s)
-                .map(|(_, t)| t.clone())
-                .collect()
-        })
-        .collect();
-
-    // Faulted phase, twice (round 2 only pins replay determinism). Each
-    // round runs the three shards sequentially — one supervisor tick —
-    // in a thread so an injected panic stays contained.
-    let mut round0_aborts: Vec<Option<String>> = Vec::new();
+    // `journal::truncate` only exists on the resume path, so those
+    // schedules fault the reopening of an unfaulted journal.
+    for round in 0..2 {
+        let _ = std::fs::create_dir_all(round_dir(round));
+        if schedule.contains("journal::truncate") {
+            if let Some(e) = run_shard(corpus, cfg, &round_dir(round), 0, ways) {
+                violations.push(format!("pre-building the journal failed: {e}"));
+            }
+        }
+    }
+    let mut rounds = Vec::new();
     let mut event_logs = Vec::new();
     for round in 0..2 {
         if let Err(e) = FailpointRegistry::parse(spec).and_then(FailpointRegistry::install) {
             violations.push(format!("installing schedule: {e}"));
             break;
         }
-        let mut aborts = Vec::new();
-        for (s, slice) in shard_texts.iter().enumerate() {
-            let run = {
-                let texts = slice.clone();
-                let cfg = cfg.clone();
-                let jpath = dir.join(format!("round-{round}-shard-{s}.journal"));
-                let opath = dir.join(format!("round-{round}-shard-{s}.out"));
-                std::thread::spawn(move || {
-                    run_shard_phase(&texts, &jpath, &opath, &cfg, false, SHARD_COMPACT_EVERY)
-                })
-                .join()
-            };
-            aborts.push(match run {
-                Ok(abort) => abort,
-                Err(_) => Some("panicked (contained)".to_string()),
-            });
-        }
+        // One supervisor tick: the shards run one after another.
+        let aborts: Vec<_> = (0..ways)
+            .map(|s| run_shard(corpus, cfg, &round_dir(round), s, ways))
+            .collect();
+        rounds.push(aborts);
         event_logs.push(cmr_failpoint::events());
         cmr_failpoint::clear();
-        if round == 0 {
-            round0_aborts = aborts;
-        }
     }
-    let fires = event_logs.first().map_or(0, Vec::len);
     if event_logs.len() == 2 && event_logs[0] != event_logs[1] {
         violations.push(format!(
             "replay diverged: round 1 fired {:?}, round 2 fired {:?}",
             event_logs[0], event_logs[1]
         ));
     }
-    let clean_abort = round0_aborts.iter().any(Option::is_some);
+    let clean_abort = rounds
+        .first()
+        .is_some_and(|r| r.iter().any(Option::is_some));
 
-    // Recovery: resume every round-0 shard with faults cleared (the
-    // supervisor restarting whatever died), then merge and compare.
-    for (s, slice) in shard_texts.iter().enumerate() {
-        let jpath = dir.join(format!("round-0-shard-{s}.journal"));
-        let opath = dir.join(format!("round-0-shard-{s}.out"));
-        let resume = jpath.exists();
-        if let Some(e) = run_shard_phase(slice, &jpath, &opath, cfg, resume, SHARD_COMPACT_EVERY) {
-            violations.push(format!("shard {s} resume after fault aborted: {e}"));
+    let dir = round_dir(0);
+    for s in 0..ways {
+        let out = std::fs::read_to_string(shard_path(&dir, s, "out.ndjson")).unwrap_or_default();
+        if !slice(s).starts_with(&out) {
+            violations.push(format!(
+                "shard {s}: the faulted run emitted lines that are not a prefix of the baseline"
+            ));
         }
-    }
-
-    for (s, slice) in shard_texts.iter().enumerate() {
-        let jpath = dir.join(format!("round-0-shard-{s}.journal"));
+        if let Some(e) = run_shard(corpus, cfg, &dir, s, ways) {
+            violations.push(format!("shard {s}: resume after fault aborted: {e}"));
+        }
+        let journal = shard_path(&dir, s, "journal");
         // O(remainder) resume: compaction bounds the healed journal to
         // manifest + snapshot plus less than one interval of entries.
-        let lines = std::fs::read_to_string(&jpath)
-            .map(|t| t.lines().count())
-            .unwrap_or(0);
-        if lines > SHARD_COMPACT_EVERY + 1 {
+        let lines = std::fs::read_to_string(&journal).map_or(0, |t| t.lines().count());
+        if ways > 1 && lines as u64 > SHARD_COMPACT_EVERY + 1 {
             violations.push(format!(
-                "shard {s} journal holds {lines} line(s) after resume; compaction \
-                 every {SHARD_COMPACT_EVERY} records should bound it to {}",
+                "shard {s}: journal holds {lines} line(s) after resume; compaction every \
+                 {SHARD_COMPACT_EVERY} records bounds it to {}",
                 SHARD_COMPACT_EVERY + 1
             ));
         }
-        // Exactly-once: the healed journal accounts for the full slice.
-        match read_journal(&jpath) {
-            Ok(read) => {
-                if read.completed() != slice.len() {
-                    violations.push(format!(
-                        "shard {s} journal accounts for {} of {} record(s) after resume",
-                        read.completed(),
-                        slice.len()
-                    ));
-                }
-            }
-            Err(e) => violations.push(format!("shard {s} journal unreadable after resume: {e}")),
+        // Exactly-once: the healed journal accounts for the whole slice
+        // (read_journal rejects gaps and duplicates).
+        let want = ShardSpec {
+            index: s,
+            total: ways,
+        }
+        .len(records);
+        match read_journal(&journal) {
+            Ok(read) if read.completed() == want => {}
+            Ok(read) => violations.push(format!(
+                "shard {s}: journal accounts for {} of {want} record(s) after resume",
+                read.completed()
+            )),
+            Err(e) => violations.push(format!("shard {s}: journal unreadable after resume: {e}")),
         }
     }
 
-    // Merge identity, through the real merge path.
-    let contents: Vec<String> = (0..SHARD_WAYS)
-        .map(|s| {
-            std::fs::read_to_string(dir.join(format!("round-0-shard-{s}.out"))).unwrap_or_default()
-        })
-        .collect();
-    let mut readers: Vec<std::io::Cursor<&[u8]>> = contents
-        .iter()
-        .map(|c| std::io::Cursor::new(c.as_bytes()))
-        .collect();
-    let mut merged = Vec::new();
-    if let Err(e) = merge_outputs(&mut readers, &mut merged) {
-        violations.push(format!("merging shard outputs: {e}"));
+    let merged = dir.join("merged.ndjson");
+    let quarantine = dir.join("merged.quarantine.ndjson");
+    let output = Output::File(merged.clone());
+    match merge_artifacts(&dir, ways, &output, None, Some(&quarantine)) {
+        Err(e) => violations.push(format!("merging the run's artifacts: {e}")),
+        Ok(_) => {
+            let merged = std::fs::read_to_string(&merged).unwrap_or_default();
+            if merged != baseline {
+                violations.push(format!(
+                    "merged output diverged from the unfaulted baseline ({} vs {} line(s))",
+                    merged.lines().count(),
+                    records
+                ));
+            }
+        }
     }
-    let want: String = baseline.iter().map(|l| format!("{l}\n")).collect();
-    if merged != want.as_bytes() {
-        violations.push(format!(
-            "merged shard output diverged from the unsharded baseline \
-             ({} vs {} byte(s))",
-            merged.len(),
-            want.len()
-        ));
-    }
-
     ScheduleReport {
         schedule: spec.to_string(),
-        kind: "shard".to_string(),
-        fires,
+        kind: kind.to_string(),
+        fires: event_logs.first().map_or(0, Vec::len),
         clean_abort,
         violations,
     }

@@ -11,7 +11,7 @@
 
 use cmr_core::{Pipeline, Schema};
 use cmr_corpus::CorpusBuilder;
-use cmr_engine::{Engine, EngineConfig};
+use cmr_engine::{DurableRun, Engine, EngineConfig, JournalPolicy, Output, RunInput};
 use cmr_ontology::Ontology;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -264,8 +264,29 @@ pub fn run_serial(
     (best, allocations)
 }
 
-/// Runs the parallel leg through the batch engine at `cfg.jobs` workers.
+/// Runs the parallel leg at `cfg.jobs` workers through the shipped
+/// durable loop, unjournaled, output discarded.
 pub fn run_parallel(cfg: &BenchConfig, texts: &[String]) -> RunStats {
+    run_durable(cfg, texts, None)
+}
+
+/// Compaction interval of the `journaled_compacting` bench leg. Small
+/// relative to the bench workload so every repeat performs several
+/// snapshot-truncate cycles — the leg would measure nothing otherwise.
+pub const COMPACT_EVERY: usize = 64;
+
+/// One engine leg through [`DurableRun`], the loop `cmr extract` runs,
+/// with every output line serialized into `io::sink()`: unjournaled
+/// (`journal: None`), or journaled to a scratch file compacting every
+/// `k` records (`Some(k)`, `0` = never). All legs pay the same output
+/// cost, so the within-run journal and compaction gates price exactly
+/// the journal work.
+fn run_durable(cfg: &BenchConfig, texts: &[String], journal: Option<u64>) -> RunStats {
+    let path = std::env::temp_dir().join(format!(
+        "cmr-bench-journal-{}-{}.ndjson",
+        std::process::id(),
+        cfg.seed
+    ));
     let mut best = RunStats::default();
     for _ in 0..cfg.repeats.max(1) {
         let engine = Engine::new(
@@ -276,132 +297,21 @@ pub fn run_parallel(cfg: &BenchConfig, texts: &[String]) -> RunStats {
             Schema::paper(),
             Ontology::full(),
         );
+        let input = RunInput::Texts(texts.to_vec());
         let mut fields = 0u64;
-        let start = Instant::now();
-        let metrics = engine.extract_stream(texts.iter().cloned(), |_, out| {
+        let mut run = DurableRun::new(engine, input, Output::Discard);
+        run.on_record = Box::new(|out| {
             if let Ok(rec) = out {
-                fields += fields_of(&rec);
-            }
-        });
-        let wall = start.elapsed().as_nanos() as u64;
-        if best.wall_nanos == 0 || wall < best.wall_nanos {
-            best = RunStats {
-                notes: metrics.records,
-                fields,
-                wall_nanos: wall,
-                cache_hits: metrics.parse_cache.hits,
-                cache_misses: metrics.parse_cache.misses,
-                shared_cache_hits: Some(metrics.parse_cache.shared_hits),
-                shard_contention: Some(metrics.cache_shard_contention),
-                channel_wait_nanos: Some(metrics.channel_wait_nanos),
-                reorder_high_water: Some(metrics.reorder_buffer_high_water),
-                ..RunStats::default()
-            };
-        }
-    }
-    best.finish();
-    best
-}
-
-/// Runs the parallel leg again with the write-ahead journal enabled,
-/// measuring durability overhead: every record outcome is serialized and
-/// appended (one `write_all` per line) to a scratch journal that is
-/// deleted afterwards.
-pub fn run_journaled(cfg: &BenchConfig, texts: &[String]) -> RunStats {
-    use cmr_engine::{JournalEntry, JournalWriter, RunManifest};
-
-    let path = std::env::temp_dir().join(format!(
-        "cmr-bench-journal-{}-{}.ndjson",
-        std::process::id(),
-        cfg.seed
-    ));
-    let mut best = RunStats::default();
-    for _ in 0..cfg.repeats.max(1) {
-        let engine_cfg = EngineConfig {
-            jobs: cfg.jobs.max(1),
-            ..EngineConfig::default()
-        };
-        let engine = Engine::new(engine_cfg.clone(), Schema::paper(), Ontology::full());
-        let manifest = RunManifest::for_run(&engine_cfg, texts);
-        let mut fields = 0u64;
-        let start = Instant::now();
-        let mut writer = JournalWriter::create(&path, &manifest).expect("scratch journal");
-        let metrics = engine.extract_stream(texts.iter().cloned(), |index, output| {
-            let entry = JournalEntry { index, output };
-            writer.append(&entry).expect("journal append");
-            if let Ok(rec) = &entry.output {
                 fields += fields_of(rec);
             }
         });
-        let wall = start.elapsed().as_nanos() as u64;
-        if best.wall_nanos == 0 || wall < best.wall_nanos {
-            best = RunStats {
-                notes: metrics.records,
-                fields,
-                wall_nanos: wall,
-                cache_hits: metrics.parse_cache.hits,
-                cache_misses: metrics.parse_cache.misses,
-                shared_cache_hits: Some(metrics.parse_cache.shared_hits),
-                shard_contention: Some(metrics.cache_shard_contention),
-                channel_wait_nanos: Some(metrics.channel_wait_nanos),
-                reorder_high_water: Some(metrics.reorder_buffer_high_water),
-                ..RunStats::default()
-            };
-        }
-    }
-    let _ = std::fs::remove_file(&path);
-    best.finish();
-    best
-}
-
-/// Compaction interval of the `journaled_compacting` bench leg. Small
-/// relative to the bench workload so every repeat performs several
-/// snapshot-truncate cycles — the leg would measure nothing otherwise.
-pub const COMPACT_EVERY: usize = 64;
-
-/// Runs the journaled leg again with auto-compaction: every
-/// [`COMPACT_EVERY`] records the journal is collapsed to a snapshot line
-/// (completed count + rolling output fingerprint) and truncated, exactly
-/// as `cmr extract --compact-every` does. The delta against the plain
-/// journaled leg is the price of O(remainder) resume.
-pub fn run_journaled_compacting(cfg: &BenchConfig, texts: &[String]) -> RunStats {
-    use cmr_engine::{JournalEntry, JournalWriter, OutputFingerprint, RunManifest, Snapshot};
-
-    let path = std::env::temp_dir().join(format!(
-        "cmr-bench-journal-compact-{}-{}.ndjson",
-        std::process::id(),
-        cfg.seed
-    ));
-    let mut best = RunStats::default();
-    for _ in 0..cfg.repeats.max(1) {
-        let engine_cfg = EngineConfig {
-            jobs: cfg.jobs.max(1),
-            ..EngineConfig::default()
-        };
-        let engine = Engine::new(engine_cfg.clone(), Schema::paper(), Ontology::full());
-        let manifest = RunManifest::for_run(&engine_cfg, texts);
-        let mut fields = 0u64;
-        let start = Instant::now();
-        let mut writer = JournalWriter::create(&path, &manifest).expect("scratch journal");
-        let mut fingerprint = OutputFingerprint::new();
-        let mut done = 0usize;
-        let metrics = engine.extract_stream(texts.iter().cloned(), |index, output| {
-            let entry = JournalEntry { index, output };
-            writer.append(&entry).expect("journal append");
-            fingerprint.add_line(&serde_json::to_string(&entry.output).unwrap_or_default());
-            if let Ok(rec) = &entry.output {
-                fields += fields_of(rec);
-            }
-            done += 1;
-            if done.is_multiple_of(COMPACT_EVERY) {
-                let snapshot = Snapshot {
-                    completed: done,
-                    output_fingerprint: fingerprint.as_hex(),
-                };
-                writer =
-                    JournalWriter::compact(&path, &manifest, &snapshot).expect("journal compact");
-            }
+        run.journal = journal.map(|compact_every| JournalPolicy {
+            path: path.clone(),
+            resume: false,
+            compact_every,
         });
+        let start = Instant::now();
+        let metrics = run.run().expect("bench run").metrics;
         let wall = start.elapsed().as_nanos() as u64;
         if best.wall_nanos == 0 || wall < best.wall_nanos {
             best = RunStats {
@@ -428,8 +338,8 @@ pub fn run_bench(cfg: &BenchConfig, probe: Option<&dyn Fn() -> (u64, u64)>) -> B
     let texts = workload(cfg);
     let (serial, allocations) = run_serial(cfg, &texts, probe);
     let parallel = run_parallel(cfg, &texts);
-    let journaled = run_journaled(cfg, &texts);
-    let journaled_compacting = run_journaled_compacting(cfg, &texts);
+    let journaled = run_durable(cfg, &texts, Some(0));
+    let journaled_compacting = run_durable(cfg, &texts, Some(COMPACT_EVERY as u64));
     BenchReport {
         version: 1,
         config: cfg.clone(),

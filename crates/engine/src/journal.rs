@@ -48,8 +48,10 @@
 //! lets the resuming process verify (and truncate to) the prefix already
 //! present in a durable output file. The rewrite goes through a temp
 //! file and an atomic rename, so a crash mid-compaction leaves either
-//! the old journal or the new one, never a hybrid. v2 journals (no
-//! snapshots, same entry lines) remain readable and resumable.
+//! the old journal or the new one, never a hybrid.
+//!
+//! A journal belongs to one run of one build: a journal written at any
+//! other format version is refused through [`RunManifest::mismatch`].
 //!
 //! Fault injection: the write paths carry `journal::manifest`,
 //! `journal::append`, `journal::truncate`, and `journal::compact`
@@ -65,18 +67,8 @@ use std::path::Path;
 
 /// Journal format version; bumped on any incompatible layout change.
 /// v2 added the per-line entry checksum; v3 added the optional
-/// compaction snapshot line.
+/// compaction snapshot line. Only this version is read.
 pub const JOURNAL_VERSION: u32 = 3;
-
-/// Oldest journal format this build can still read and resume. v2
-/// journals differ from v3 only in lacking snapshot lines, so they
-/// replay unchanged.
-pub const JOURNAL_COMPAT_VERSION: u32 = 2;
-
-/// Whether a journal written at `version` is readable by this build.
-fn version_compatible(version: u32) -> bool {
-    (JOURNAL_COMPAT_VERSION..=JOURNAL_VERSION).contains(&version)
-}
 
 /// Identity of a run: everything that determines its output bytes.
 ///
@@ -122,11 +114,9 @@ impl RunManifest {
     }
 
     /// Explains the first incompatibility with `current`, or `None` when a
-    /// journal under `self` may be resumed as `current`. Any version in
-    /// the compatibility window ([`JOURNAL_COMPAT_VERSION`]..=
-    /// [`JOURNAL_VERSION`]) is resumable.
+    /// journal under `self` may be resumed as `current`.
     pub fn mismatch(&self, current: &RunManifest) -> Option<String> {
-        if !version_compatible(self.version) {
+        if self.version != JOURNAL_VERSION {
             return Some(format!(
                 "journal format v{} (this build writes v{})",
                 self.version, current.version
@@ -394,7 +384,7 @@ pub struct JournalReplay {
 
 impl JournalReplay {
     /// Opens the journal at `path`, reading and validating the manifest
-    /// line and — when the format version allows it — the optional
+    /// line and — when the format version is this build's — the optional
     /// snapshot line that may follow.
     pub fn open(path: &Path) -> Result<JournalReplay, JournalError> {
         let mut reader = BufReader::new(File::open(path)?);
@@ -429,7 +419,7 @@ impl JournalReplay {
         // this reader cannot judge; stop here so the caller's `mismatch`
         // check reports the version cleanly instead of a misleading
         // corruption error.
-        if !version_compatible(replay.manifest.version) {
+        if replay.manifest.version != JOURNAL_VERSION {
             replay.done = true;
             return Ok(replay);
         }
@@ -886,11 +876,8 @@ mod tests {
         d.version = 0;
         assert!(
             d.mismatch(&a).unwrap().contains("format"),
-            "a journal older than the compatibility window is not resumable"
+            "a journal of another format version is not resumable"
         );
-        let mut e = a.clone();
-        e.version = JOURNAL_COMPAT_VERSION;
-        assert_eq!(e.mismatch(&a), None, "versions in the window resume");
 
         // The hex encoding must survive values above i64::MAX, which JSON
         // integers cannot carry.
@@ -959,23 +946,29 @@ mod tests {
 
     #[test]
     fn old_format_version_surfaces_via_manifest_mismatch_not_corruption() {
-        let path = scratch_path("v1");
-        // A v1 journal: no per-line checksums, version 1 in the manifest.
-        std::fs::write(
-            &path,
-            concat!(
-                "{\"version\":1,\"config_fingerprint\":\"000000000000000b\",",
-                "\"asset_fingerprint\":\"0000000000000016\",",
-                "\"corpus_hash\":\"0000000000000021\",\"records\":3}\n",
-                "{\"index\":0,\"output\":{\"Err\":{\"Budget\":{\"sentences_done\":0}}}}\n",
-            ),
-        )
-        .unwrap();
-        let read = read_journal(&path).unwrap();
-        assert_eq!(read.entries.len(), 0, "old entries are not interpreted");
-        let why = read.manifest.mismatch(&manifest()).unwrap();
-        assert!(why.contains("format"), "mismatch was: {why}");
-        let _ = std::fs::remove_file(&path);
+        // v1 had no per-line checksums; v2 had them but no snapshot line.
+        // Neither is read past its manifest, and both are refused.
+        let v1_entry = "{\"index\":0,\"output\":{\"Err\":{\"Budget\":{\"sentences_done\":0}}}}";
+        let v2_entry = format!(
+            "{{\"entry\":{v1_entry},\"crc\":\"{}\"}}",
+            line_crc(v1_entry)
+        );
+        for (version, entry) in [(1, v1_entry.to_string()), (2, v2_entry)] {
+            let path = scratch_path(&format!("v{version}"));
+            let mut old = manifest();
+            old.version = version;
+            let manifest_line = serde_json::to_string(&old).unwrap();
+            std::fs::write(&path, format!("{manifest_line}\n{entry}\n")).unwrap();
+            let read = read_journal(&path).unwrap();
+            assert_eq!(
+                read.entries.len(),
+                0,
+                "v{version} entries are not interpreted"
+            );
+            let why = read.manifest.mismatch(&manifest()).unwrap();
+            assert!(why.contains("format v"), "v{version} mismatch was: {why}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]
@@ -1036,25 +1029,6 @@ mod tests {
         assert_eq!(n, collected.entries.len());
         assert_eq!(replay.valid_len(), collected.valid_len);
         assert_eq!(replay.completed(), 2);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn v2_journal_is_still_readable_and_resumable() {
-        let path = scratch_path("v2");
-        let mut old = manifest();
-        old.version = 2;
-        let mut w = JournalWriter::create(&path, &old).unwrap();
-        w.append(&entry(0)).unwrap();
-        drop(w);
-        let read = read_journal(&path).unwrap();
-        assert_eq!(read.entries.len(), 1, "v2 entry lines parse unchanged");
-        assert!(read.snapshot.is_none());
-        assert_eq!(
-            read.manifest.mismatch(&manifest()),
-            None,
-            "v2 is inside the compatibility window"
-        );
         let _ = std::fs::remove_file(&path);
     }
 

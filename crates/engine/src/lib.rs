@@ -19,8 +19,9 @@
 //! * **Metrics** — a serializable [`EngineMetrics`] snapshot: throughput,
 //!   per-stage wall-time histograms, link-parser cache hit rates,
 //!   association-method counts, error counts.
-//! * **Durability** — a write-ahead journal ([`JournalWriter`]) of
-//!   completed records with crash-recovery resume, bounded retry
+//! * **Durability** — [`DurableRun`], the one write-ahead loop every
+//!   batch caller drives: a journal ([`JournalWriter`]) of completed
+//!   records with crash-recovery resume and compaction, bounded retry
 //!   ([`RetryPolicy`]) with a poison quarantine ([`QuarantineFile`]),
 //!   a stuck-worker watchdog that cancels over-deadline parses
 //!   ([`EngineError::Timeout`]), and graceful shutdown
@@ -48,22 +49,27 @@
 // defeat the fault isolation the crate exists to provide.
 #![deny(clippy::unwrap_used)]
 
+mod durable;
 mod engine;
 mod journal;
 mod metrics;
+pub mod ndjson;
 mod pool;
 mod retry;
 mod service;
 mod shard;
 mod watchdog;
 
+pub use durable::{
+    AbortSite, DurableRun, JournalPolicy, Output, RunAbort, RunInput, RunOutcome, RunReport,
+};
 pub use engine::{
     asset_fingerprint, startup_lint_summary, BatchOutput, Engine, EngineConfig, EngineError,
 };
 pub use journal::{
     config_fingerprint, corpus_hash, read_journal, verify_output_prefix, CorpusHasher,
     JournalEntry, JournalError, JournalRead, JournalReplay, JournalWriter, OutputFingerprint,
-    RunManifest, Snapshot, JOURNAL_COMPAT_VERSION, JOURNAL_VERSION,
+    RunManifest, Snapshot, JOURNAL_VERSION,
 };
 pub use metrics::{
     DegradationTotals, DurationHistogram, EngineMetrics, ErrorCounts, MethodCounts,
@@ -73,4 +79,6 @@ pub use retry::{
     is_transient, read_quarantine, AttemptRecord, QuarantineEntry, QuarantineFile, RetryPolicy,
 };
 pub use service::{LatencyKind, ServiceHandle, ServiceWorker};
-pub use shard::{merge_outputs, merge_quarantine, shard_of, ShardSpec};
+pub use shard::{
+    merge_artifacts, merge_outputs, merge_quarantine, shard_path, MergeSummary, ShardSpec,
+};

@@ -1,5 +1,5 @@
-//! The NDJSON note reader shared by `cmr extract -` and the batch
-//! endpoint.
+//! The NDJSON note reader shared by `cmr extract` (stdin and `--ndjson`
+//! corpus files) and the service's batch endpoint.
 //!
 //! One place decides what counts as a record line: blank and
 //! whitespace-only lines are *separators*, not empty notes (a trailing

@@ -21,7 +21,8 @@
 //!   parks out-of-order results in a fixed-capacity ring buffer indexed by
 //!   sequence number (no per-item allocation, no tree rebalancing) and
 //!   emits strictly in input order, so the output sequence is identical
-//!   for any worker count and any chunk size.
+//!   for any worker count and any chunk size. The feeder parks while the
+//!   next record would land a full ring past the oldest unemitted one.
 //! * **Worker-local state** — each worker builds its own state *inside its
 //!   thread* via `make_worker`, which is how `!Send` state (the pipeline's
 //!   link-parser cache) rides a thread pool.
@@ -33,7 +34,7 @@
 //!   remaining queued records through `on_abort` without processing them,
 //!   so every fed index still produces exactly one output.
 
-use cmr_sync::TrackedMutex;
+use cmr_sync::{TrackedCondvar, TrackedMutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
@@ -78,6 +79,49 @@ pub(crate) struct PoolStats {
     pub chunks_dispatched: u64,
 }
 
+/// How far the consumer has emitted: the next index to emit, or
+/// `usize::MAX` once the consumer is gone.
+struct EmitWindow {
+    next_emit: TrackedMutex<usize>,
+    advanced: TrackedCondvar,
+}
+
+impl EmitWindow {
+    fn publish(&self, next_emit: usize) {
+        *self
+            .next_emit
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = next_emit;
+        self.advanced.notify_one();
+    }
+
+    /// Blocks until index `idx` lies inside the ring window, returning the
+    /// emission point that admitted it.
+    fn wait_until_admits(&self, idx: usize, ring_cap: usize) -> usize {
+        let mut next = self
+            .next_emit
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        while idx >= next.saturating_add(ring_cap) {
+            next = self
+                .advanced
+                .wait(next)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        *next
+    }
+}
+
+/// Releases a parked feeder when the consumer leaves, normally or by
+/// unwinding out of the sink.
+struct ReleaseOnDrop<'a>(&'a EmitWindow);
+
+impl Drop for ReleaseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.publish(usize::MAX);
+    }
+}
+
 /// Runs `inputs` through `jobs` workers, invoking `sink(index, result)`
 /// strictly in input order. See the module docs for the contract.
 pub(crate) fn run_ordered<In, Out, E, It, MkW, W, P, A, S>(
@@ -117,14 +161,18 @@ where
     let in_rx = Arc::new(TrackedMutex::new("engine.pool_receiver", in_rx));
     let (out_tx, out_rx) = sync_channel::<Vec<(usize, Result<Out, E>)>>(out_bound);
 
-    // Upper bound on records in flight (fed but not yet emitted): every
-    // chunk buffered in either channel, one chunk in a blocked send on
-    // each side, one chunk per worker, and one being scattered by the
-    // consumer. The reorder ring is sized to that bound once, up front —
-    // a parked result can never land more than `ring_cap` ahead of the
-    // next emission.
+    // The ring holds what the channels can have in flight (every chunk
+    // buffered in either channel or a blocked send, one per worker, one
+    // being scattered), so backpressure is the usual limit. The channels
+    // do not bound how far results run ahead of one slow record, though:
+    // the feeder's `EmitWindow` wait does, so a parked result never lands
+    // `ring_cap` or more past the next emission.
     let ring_cap = ((in_bound + out_bound + cfg.jobs + 3) * max_chunk).next_power_of_two();
     let ring_mask = ring_cap - 1;
+    let window = EmitWindow {
+        next_emit: TrackedMutex::new("engine.pool_emit_window", 0),
+        advanced: TrackedCondvar::new(),
+    };
 
     let mut high_water = 0u64;
     std::thread::scope(|scope| {
@@ -137,14 +185,22 @@ where
         let stop_ref = &stop;
         let chunks_ref = &chunks_sent;
         let shutdown_ref = cfg.shutdown.as_deref();
+        let window_ref = &window;
         scope.spawn(move || {
             let mut chunk_target = 1usize;
             let mut chunk: Vec<(usize, In)> = Vec::with_capacity(chunk_target);
+            // The last emission point seen; the lock is taken only past
+            // it. The unsent chunk is shorter than the ring, so the record
+            // the consumer awaits was sent before the feeder parks.
+            let mut admitted_from = 0usize;
             for item in inputs.enumerate() {
                 if stop_ref.load(Ordering::Relaxed)
                     || shutdown_ref.is_some_and(|f| f.load(Ordering::Relaxed))
                 {
                     return;
+                }
+                if item.0 >= admitted_from.saturating_add(ring_cap) {
+                    admitted_from = window_ref.wait_until_admits(item.0, ring_cap);
                 }
                 chunk.push(item);
                 if chunk.len() >= chunk_target {
@@ -214,9 +270,13 @@ where
                 }
             });
         }
-        // The workers hold the only remaining senders; when the last one
-        // exits, recv below disconnects and the consumer loop ends.
+        // The workers hold the only remaining senders and receivers: when
+        // the last one exits, recv below disconnects. If the sink unwinds,
+        // dropping `out_rx` fails their sends, and their exit the feeder's.
         drop(out_tx);
+        drop(in_rx);
+        let out_rx = out_rx;
+        let _release = ReleaseOnDrop(&window);
 
         // Consumer (this thread): restore input order via a fixed-capacity
         // ring indexed by sequence number — slot `idx & ring_mask` — and
@@ -237,10 +297,14 @@ where
             }
             high_water = high_water.max(parked as u64);
             let _ = cmr_failpoint::io_inject("pool::reorder_flush");
+            let emitted_from = next_emit;
             while let Some(result) = ring[next_emit & ring_mask].take() {
                 parked -= 1;
                 sink(next_emit, result);
                 next_emit += 1;
+            }
+            if next_emit != emitted_from {
+                window.publish(next_emit);
             }
         }
         debug_assert_eq!(parked, 0, "gap in emitted indices");
@@ -483,6 +547,42 @@ mod tests {
         // Not asserted > 0: a 1-CPU machine may legitimately never
         // overlap workers. Recorded so multicore runs can see it.
         let _ = stats.reorder_high_water;
+    }
+
+    #[test]
+    fn stalled_first_record_never_overruns_the_ring() {
+        // Record 0 holds emission back while the other worker finishes
+        // everything behind it: results pile up far past the channel
+        // bounds unless the feeder waits for the ring to drain.
+        for chunk in [0, 1] {
+            let mut seen = Vec::new();
+            run_ordered(
+                0..600,
+                PoolConfig {
+                    jobs: 2,
+                    queue_depth: 32,
+                    fail_fast: false,
+                    shutdown: None,
+                    chunk,
+                },
+                |_w| {
+                    |i: usize, x: usize| {
+                        if i == 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(250));
+                        }
+                        Ok::<usize, String>(x)
+                    }
+                },
+                |m| m,
+                || "aborted".to_string(),
+                |idx, r| seen.push((idx, r)),
+            );
+            assert_eq!(seen.len(), 600, "chunk={chunk}");
+            for (i, (idx, r)) in seen.iter().enumerate() {
+                assert_eq!(*idx, i, "chunk={chunk}");
+                assert_eq!(r, &Ok(i), "chunk={chunk}");
+            }
+        }
     }
 
     #[test]

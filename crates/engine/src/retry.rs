@@ -17,7 +17,7 @@
 use crate::engine::EngineError;
 use serde::{Deserialize, Serialize};
 use std::fs::File;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -123,15 +123,18 @@ impl QuarantineFile {
     /// absent — the resume path, where entries from a previous killed
     /// attempt must survive. (A record quarantined but not yet journaled
     /// at the kill is re-quarantined by the resumed attempt; `cmr merge`
-    /// dedupes such double entries by index.)
+    /// dedupes such double entries by index.) A torn final line left by
+    /// a kill mid-append is dropped, so it cannot run into the next entry.
     pub fn open_append(path: &Path) -> std::io::Result<QuarantineFile> {
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        let bytes = std::fs::read(path)?;
+        let intact = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+        file.set_len(intact as u64)?;
         Ok(QuarantineFile {
-            inner: Mutex::new(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)?,
-            ),
+            inner: Mutex::new(file),
             index_base: 0,
             index_stride: 1,
         })
@@ -150,9 +153,9 @@ impl QuarantineFile {
     /// through the global index mapping. Returns whether the write fully
     /// succeeded; failure is reported, not propagated.
     ///
-    /// Carries the `quarantine::append` failpoint (partial writes land
-    /// their torn prefix, which `read_quarantine`'s blank-line filter and
-    /// per-line parse surface rather than crash on).
+    /// A failed append truncates the file back to where it began, so a
+    /// torn write (the `quarantine::append` failpoint's partial write, or
+    /// a full disk) never runs into the next entry's line.
     pub fn append(&self, entry: &QuarantineEntry) -> bool {
         let mapped;
         let entry = if self.index_base == 0 && self.index_stride == 1 {
@@ -174,14 +177,21 @@ impl QuarantineFile {
             .inner
             .lock() // cmr:allow(S001) -- this mutex exists to serialize appends to one file; the write IS the critical section
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(inj) = cmr_failpoint::io_inject("quarantine::append") {
-            if let cmr_failpoint::IoInjection::Partial(n) = inj {
-                let cut = n.min(line.len());
-                let _ = file.write_all(&line.as_bytes()[..cut]);
-            }
+        let Ok(start) = file.seek(SeekFrom::End(0)) else {
             return false;
+        };
+        let written = match cmr_failpoint::io_inject("quarantine::append") {
+            Some(cmr_failpoint::IoInjection::Partial(n)) => {
+                let _ = file.write_all(&line.as_bytes()[..n.min(line.len())]);
+                false
+            }
+            Some(_) => false,
+            None => file.write_all(line.as_bytes()).is_ok() && file.flush().is_ok(),
+        };
+        if !written {
+            let _ = file.set_len(start);
         }
-        file.write_all(line.as_bytes()).is_ok() && file.flush().is_ok()
+        written
     }
 }
 
@@ -252,6 +262,21 @@ mod tests {
         let back = read_quarantine(&path).unwrap();
         assert_eq!(back.len(), 2, "killed-attempt entry survives the resume");
         assert_eq!(back[0].index, back[1].index);
+
+        // A kill mid-append leaves a torn tail; reopening drops it rather
+        // than letting the next entry run into it.
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        f.write_all(b"{\"index\":9,\"te").unwrap();
+        drop(f);
+        let q = QuarantineFile::open_append(&path).unwrap();
+        assert!(q.append(&entry(3)));
+        drop(q);
+        let back = read_quarantine(&path).unwrap();
+        assert_eq!(back.len(), 3, "torn tail dropped, new entry intact");
+        assert_eq!(back[2].index, 3);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -13,19 +13,20 @@
 //! * [`merge_quarantine`] globally orders quarantine entries and drops
 //!   the duplicates a kill-between-quarantine-and-journal leaves behind
 //!   (the entry is written again by the resumed attempt);
-//! * [`crate::EngineMetrics::merge`] sums per-shard metrics.
+//! * [`crate::EngineMetrics::merge`] sums per-shard metrics;
+//! * [`merge_artifacts`] does all three over a run directory laid out by
+//!   [`shard_path`], for `cmr merge`, `cmr orchestrate` and the fault
+//!   sweep alike.
 //!
 //! The merge is pure bookkeeping — no extraction reruns — so merging N
 //! shard outputs is O(total output bytes).
 
-use crate::retry::QuarantineEntry;
+use crate::durable::Output;
+use crate::metrics::EngineMetrics;
+use crate::retry::{read_quarantine, QuarantineEntry};
 use std::fmt;
 use std::io::{BufRead, Write};
-
-/// Which shard owns global record index `g` in an `N`-way partition.
-pub fn shard_of(global_index: usize, total: usize) -> usize {
-    global_index % total.max(1)
-}
+use std::path::{Path, PathBuf};
 
 /// One shard's slice of an `N`-way run: shard `index` of `total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +58,7 @@ impl ShardSpec {
 
     /// Whether this shard owns global record index `g`.
     pub fn owns(&self, global_index: usize) -> bool {
-        shard_of(global_index, self.total) == self.index
+        global_index % self.total.max(1) == self.index
     }
 
     /// The global corpus index of this shard's `local`-th record.
@@ -133,6 +134,85 @@ pub fn merge_quarantine(mut entries: Vec<QuarantineEntry>) -> Vec<QuarantineEntr
     entries
 }
 
+/// Path of one shard's artifact inside a sharded run's directory, by the
+/// convention `cmr orchestrate` writes and `cmr merge` reads:
+/// `DIR/shard-<i>.<suffix>` (suffixes `journal`, `out.ndjson`,
+/// `metrics.json`, `quarantine.ndjson`).
+pub fn shard_path(dir: &Path, index: usize, suffix: &str) -> PathBuf {
+    dir.join(format!("shard-{index}.{suffix}"))
+}
+
+/// What [`merge_artifacts`] merged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MergeSummary {
+    /// Output lines written.
+    pub records: u64,
+    /// Quarantine entries after dedupe, when a quarantine was merged.
+    pub quarantined: Option<usize>,
+}
+
+/// Recombines the artifacts of an `n`-way sharded run under `dir` into
+/// unsharded-identical files: outputs round-robin interleaved into `out`
+/// (required), metrics summed and quarantines deduped (each only when a
+/// destination is given; a shard with no quarantine file contributes
+/// nothing).
+pub fn merge_artifacts(
+    dir: &Path,
+    n: usize,
+    out: &Output,
+    metrics_out: Option<&Path>,
+    quarantine_out: Option<&Path>,
+) -> Result<MergeSummary, String> {
+    let mut readers = Vec::with_capacity(n);
+    for i in 0..n {
+        let p = shard_path(dir, i, "out.ndjson");
+        let f = std::fs::File::open(&p).map_err(|e| format!("opening {}: {e}", p.display()))?;
+        readers.push(std::io::BufReader::new(f));
+    }
+    let mut w = out.create()?;
+    let records = merge_outputs(&mut readers, &mut w).map_err(|e| e.to_string())?;
+    w.flush().map_err(|e| format!("writing {out}: {e}"))?;
+    if let Some(metrics_out) = metrics_out {
+        let mut total = EngineMetrics::default();
+        for i in 0..n {
+            let p = shard_path(dir, i, "metrics.json");
+            let json =
+                std::fs::read_to_string(&p).map_err(|e| format!("reading {}: {e}", p.display()))?;
+            let m: EngineMetrics =
+                serde_json::from_str(&json).map_err(|e| format!("parsing {}: {e}", p.display()))?;
+            total.merge(&m);
+        }
+        let json = serde_json::to_string_pretty(&total).map_err(|e| e.to_string())?;
+        std::fs::write(metrics_out, format!("{json}\n"))
+            .map_err(|e| format!("writing {}: {e}", metrics_out.display()))?;
+    }
+    let mut quarantined = None;
+    if let Some(quarantine_out) = quarantine_out {
+        let mut entries = Vec::new();
+        for i in 0..n {
+            let p = shard_path(dir, i, "quarantine.ndjson");
+            if p.exists() {
+                entries.extend(
+                    read_quarantine(&p).map_err(|e| format!("reading {}: {e}", p.display()))?,
+                );
+            }
+        }
+        let merged = merge_quarantine(entries);
+        let mut body = String::new();
+        for e in &merged {
+            body.push_str(&serde_json::to_string(e).map_err(|e| e.to_string())?);
+            body.push('\n');
+        }
+        std::fs::write(quarantine_out, body)
+            .map_err(|e| format!("writing {}: {e}", quarantine_out.display()))?;
+        quarantined = Some(merged.len());
+    }
+    Ok(MergeSummary {
+        records,
+        quarantined,
+    })
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -162,7 +242,7 @@ mod tests {
                 let owners: Vec<usize> = (0..n)
                     .filter(|&i| ShardSpec { index: i, total: n }.owns(g))
                     .collect();
-                assert_eq!(owners, vec![shard_of(g, n)]);
+                assert_eq!(owners, vec![g % n]);
             }
         }
     }

@@ -1,10 +1,8 @@
-//! Durability integration tests: journal + resume equivalence, poison
-//! quarantine, the stuck-worker watchdog, and graceful shutdown.
+//! Durability integration tests: poison quarantine, the stuck-worker
+//! watchdog, and graceful shutdown. Kill-and-resume identity is a
+//! property of the durable loop, tested in `shard_proptests.rs`.
 
-use cmr_engine::{
-    read_journal, read_quarantine, Engine, EngineConfig, EngineError, JournalEntry, JournalWriter,
-    QuarantineFile, RetryPolicy, RunManifest,
-};
+use cmr_engine::{read_quarantine, Engine, EngineConfig, EngineError, QuarantineFile, RetryPolicy};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,56 +41,6 @@ fn slow_record() -> String {
     s.push_str(" and pulse of 84 and weight of 150 and pulse of 84 and weight of 150");
     s.push_str(".\n");
     s
-}
-
-/// The kill-at-record-k scenario at engine level: journal the first `k`
-/// outcomes, "crash", then resume — replay the journal, extract only the
-/// remainder — and require the merged output byte-identical to an
-/// uninterrupted run.
-#[test]
-fn kill_at_fixed_record_then_resume_is_byte_identical() {
-    let texts = corpus(6, 2005);
-    let cfg = EngineConfig {
-        jobs: 2,
-        ..EngineConfig::default()
-    };
-    let uninterrupted = engine(cfg.clone()).extract_batch(&texts);
-
-    let k = 3usize;
-    let path = scratch("fixed-k.journal");
-    let manifest = RunManifest::for_run(&cfg, &texts);
-    {
-        let mut journal = JournalWriter::create(&path, &manifest).expect("create journal");
-        for (index, output) in uninterrupted.items.iter().take(k).enumerate() {
-            journal
-                .append(&JournalEntry {
-                    index,
-                    output: output.clone(),
-                })
-                .expect("journal prefix");
-        }
-        // The writer is dropped here: the "crash".
-    }
-
-    // Resume: validate the manifest, replay the journaled prefix, process
-    // only the remainder with a *fresh* engine (fresh caches, different
-    // process in real life).
-    let read = read_journal(&path).expect("journal reads back");
-    assert_eq!(
-        read.manifest.mismatch(&RunManifest::for_run(&cfg, &texts)),
-        None
-    );
-    assert_eq!(read.entries.len(), k);
-    let mut merged: Vec<_> = read.entries.into_iter().map(|e| e.output).collect();
-    let tail = engine(cfg).extract_batch(&texts[k..]);
-    merged.extend(tail.items);
-
-    assert_eq!(
-        serde_json::to_string(&merged).expect("serialize"),
-        serde_json::to_string(&uninterrupted.items).expect("serialize"),
-        "resumed run must be byte-identical to the uninterrupted one"
-    );
-    let _ = std::fs::remove_file(&path);
 }
 
 /// A poison record (transient failure every attempt) is retried, then

@@ -1,16 +1,18 @@
 //! Property tests for corpus-scale sharding: for any corpus, any shard
-//! count, and any crash point, the merged shard artifacts — output,
-//! metrics totals, quarantine — must be identical to what one unsharded
-//! run would have produced, and journal compaction must bound resume
-//! replay to the post-snapshot remainder.
+//! count, any crash point and any compaction interval, the merged shard
+//! artifacts — output, metrics totals, quarantine — must be identical to
+//! what one unsharded run would have produced, and every journal must
+//! stay within the compaction bound.
 
 use cmr_engine::{
-    merge_outputs, merge_quarantine, read_journal, verify_output_prefix, Engine, EngineConfig,
-    EngineError, EngineMetrics, JournalEntry, JournalWriter, OutputFingerprint, QuarantineEntry,
-    RunManifest, ShardSpec, Snapshot,
+    merge_artifacts, merge_quarantine, read_journal, shard_path, DurableRun, Engine, EngineConfig,
+    EngineError, EngineMetrics, JournalPolicy, Output, QuarantineEntry, RunInput, RunOutcome,
+    ShardSpec,
 };
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::Write;
+use std::panic::AssertUnwindSafe;
+use std::path::Path;
 
 fn engine(jobs: usize) -> Engine {
     Engine::new(
@@ -34,13 +36,50 @@ fn corpus_texts(n: usize, seed: u64) -> Vec<String> {
         .collect()
 }
 
-/// The output lines an extraction run emits, one JSON line per record
-/// (errors serialize in-band, exactly as the CLI sink writes them).
-fn output_lines(items: &[Result<cmr_core::ExtractedRecord, EngineError>]) -> Vec<String> {
-    items
-        .iter()
-        .map(|o| serde_json::to_string(o).expect("serialize outcome"))
-        .collect()
+/// A crash raised from the record hook, which the durable loop calls
+/// right after journaling and emitting a record and before compacting —
+/// the point where `--kill-after` aborts the process.
+struct Killed;
+
+/// Keeps the expected `Killed` unwinds out of the test output.
+fn quiet_kills() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.payload().is::<Killed>() {
+                default(info)
+            }
+        }));
+    });
+}
+
+/// Runs `spec`'s slice of `texts` into `dir` the way `cmr orchestrate`
+/// runs a shard (journaled, resuming, compacting every `interval`),
+/// killed after its `kill_at`-th record when given.
+fn run_shard(texts: &[String], dir: &Path, spec: ShardSpec, interval: u64, kill_at: Option<usize>) {
+    let mut emitted = 0usize;
+    let mut run = DurableRun::new(
+        engine(2),
+        RunInput::Texts(texts.to_vec()),
+        Output::File(shard_path(dir, spec.index, "out.ndjson")),
+    );
+    run.shard = Some(spec);
+    run.journal = Some(JournalPolicy {
+        path: shard_path(dir, spec.index, "journal"),
+        resume: true,
+        compact_every: interval,
+    });
+    run.on_record = Box::new(|_| {
+        emitted += 1;
+        if Some(emitted) == kill_at {
+            std::panic::panic_any(Killed);
+        }
+    });
+    match std::panic::catch_unwind(AssertUnwindSafe(|| run.run())) {
+        Ok(report) => assert!(matches!(report.expect("run").outcome, RunOutcome::Complete)),
+        Err(payload) => assert!(payload.is::<Killed>(), "the run panicked"),
+    }
 }
 
 /// The slice of `texts` that shard `index` of `total` owns.
@@ -57,92 +96,61 @@ fn shard_slice(texts: &[String], index: usize, total: usize) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// For any corpus and any shard count, running every shard
-    /// independently and merging the outputs reproduces the unsharded
-    /// run byte-for-byte.
+    /// Kill one shard after any record — optionally tearing its final
+    /// journal line — resume it, and merge: identical to one unsharded
+    /// run, with every journal accounting for its whole slice within the
+    /// compaction bound of interval + 1 lines.
     #[test]
-    fn merged_output_matches_unsharded_for_any_shard_count(
+    fn killed_and_resumed_shards_merge_identically(
         n in 1usize..12,
         seed in 0u64..300,
         shards in 1usize..=5,
-    ) {
-        let texts = corpus_texts(n, seed);
-        let unsharded = output_lines(&engine(2).extract_batch(&texts).items);
-        let want: String = unsharded.iter().map(|l| format!("{l}\n")).collect();
-
-        let outputs: Vec<String> = (0..shards)
-            .map(|s| {
-                let slice = shard_slice(&texts, s, shards);
-                output_lines(&engine(2).extract_batch(&slice).items)
-                    .iter()
-                    .map(|l| format!("{l}\n"))
-                    .collect()
-            })
-            .collect();
-        let mut readers: Vec<Cursor<&[u8]>> =
-            outputs.iter().map(|o| Cursor::new(o.as_bytes())).collect();
-        let mut merged = Vec::new();
-        let lines = merge_outputs(&mut readers, &mut merged).expect("merge");
-        prop_assert_eq!(lines as usize, n);
-        prop_assert_eq!(merged, want.into_bytes());
-    }
-
-    /// Kill one shard at any record, resume it from its journal, merge:
-    /// still identical to the unsharded run.
-    #[test]
-    fn killed_and_resumed_shard_merges_identically(
-        n in 2usize..10,
-        seed in 0u64..300,
-        shards in 2usize..=4,
-        victim in 0usize..4,
+        victim in 0usize..5,
         kill_pct in 0usize..=100,
+        interval in 0u64..=5,
+        torn_tail in proptest::bool::ANY,
     ) {
+        quiet_kills();
         let texts = corpus_texts(n, seed);
-        let victim = victim % shards;
-        let unsharded = output_lines(&engine(2).extract_batch(&texts).items);
-        let want: String = unsharded.iter().map(|l| format!("{l}\n")).collect();
-
-        let cfg = EngineConfig { jobs: 2, ..EngineConfig::default() };
-        let path = std::env::temp_dir().join(format!(
-            "cmr-proptest-shard-{}-{n}-{seed}-{shards}-{victim}-{kill_pct}.journal",
+        let dir = std::env::temp_dir().join(format!(
+            "cmr-proptest-durable-{}-{n}-{seed}-{shards}-{victim}-{kill_pct}-{interval}-{torn_tail}",
             std::process::id()
         ));
-        let outputs: Vec<String> = (0..shards)
-            .map(|s| {
-                let slice = shard_slice(&texts, s, shards);
-                let lines = if s == victim {
-                    // Crash after journaling the first k outcomes, then
-                    // resume: replay the journal and extract the rest
-                    // with a fresh engine, as `--resume` does.
-                    let full = engine(2).extract_batch(&slice);
-                    let k = slice.len() * kill_pct / 100;
-                    let manifest = RunManifest::for_run(&cfg, &slice);
-                    let mut journal =
-                        JournalWriter::create(&path, &manifest).expect("create journal");
-                    for (index, output) in full.items.iter().take(k).enumerate() {
-                        journal
-                            .append(&JournalEntry { index, output: output.clone() })
-                            .expect("append");
-                    }
-                    drop(journal);
-                    let read = read_journal(&path).expect("read back");
-                    prop_assert_eq!(read.entries.len(), k);
-                    let mut merged: Vec<_> =
-                        read.entries.into_iter().map(|e| e.output).collect();
-                    merged.extend(engine(2).extract_batch(&slice[k..]).items);
-                    let _ = std::fs::remove_file(&path);
-                    output_lines(&merged)
-                } else {
-                    output_lines(&engine(2).extract_batch(&slice).items)
-                };
-                Ok(lines.iter().map(|l| format!("{l}\n")).collect::<String>())
-            })
-            .collect::<Result<_, TestCaseError>>()?;
-        let mut readers: Vec<Cursor<&[u8]>> =
-            outputs.iter().map(|o| Cursor::new(o.as_bytes())).collect();
-        let mut merged = Vec::new();
-        merge_outputs(&mut readers, &mut merged).expect("merge");
-        prop_assert_eq!(merged, want.into_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let reference = dir.join("reference.ndjson");
+        DurableRun::new(engine(2), RunInput::Texts(texts.clone()), Output::File(reference.clone()))
+            .run()
+            .expect("reference run");
+
+        for index in 0..shards {
+            let spec = ShardSpec { index, total: shards };
+            let journal = shard_path(&dir, index, "journal");
+            let k = spec.len(n) * kill_pct / 100;
+            if index == victim % shards && k > 0 {
+                run_shard(&texts, &dir, spec, interval, Some(k));
+                if torn_tail {
+                    let mut f = std::fs::OpenOptions::new()
+                        .append(true)
+                        .open(&journal)
+                        .expect("reopen journal");
+                    f.write_all(b"{\"entry\":{\"index\":").expect("tear");
+                }
+            }
+            run_shard(&texts, &dir, spec, interval, None);
+            prop_assert_eq!(read_journal(&journal).expect("read back").completed(), spec.len(n));
+            let lines = std::fs::read_to_string(&journal).expect("journal").lines().count();
+            prop_assert!(
+                interval == 0 || lines as u64 <= interval + 1,
+                "shard {} journal holds {} lines (interval {})", index, lines, interval
+            );
+        }
+        let merged = dir.join("merged.ndjson");
+        merge_artifacts(&dir, shards, &Output::File(merged.clone()), None, None).expect("merge");
+        let got = std::fs::read_to_string(&merged).expect("merged output");
+        let want = std::fs::read_to_string(&reference).expect("reference output");
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(got, want);
     }
 
     /// Summing per-shard metrics reproduces the unsharded run's
@@ -209,86 +217,5 @@ proptest! {
         want.sort_unstable();
         want.dedup();
         prop_assert_eq!(got, want);
-    }
-
-    /// Compaction at any interval and any kill point: the healed journal
-    /// holds at most `interval` entry lines past the snapshot, the
-    /// snapshot fingerprint verifies the durable output prefix, and the
-    /// resumed run is identical to the uninterrupted one.
-    #[test]
-    fn compaction_bounds_resume_replay_to_the_remainder(
-        n in 1usize..12,
-        seed in 0u64..300,
-        interval in 1usize..=5,
-        kill_pct in 0usize..=100,
-    ) {
-        let texts = corpus_texts(n, seed);
-        let cfg = EngineConfig { jobs: 2, ..EngineConfig::default() };
-        let full = engine(2).extract_batch(&texts);
-        let lines = output_lines(&full.items);
-        let k = n * kill_pct / 100;
-
-        let path = std::env::temp_dir().join(format!(
-            "cmr-proptest-compact-{}-{n}-{seed}-{interval}-{kill_pct}.journal",
-            std::process::id()
-        ));
-        let manifest = RunManifest::for_run(&cfg, &texts);
-        {
-            let mut journal = JournalWriter::create(&path, &manifest).expect("create");
-            let mut fingerprint = OutputFingerprint::new();
-            for (index, output) in full.items.iter().take(k).enumerate() {
-                journal
-                    .append(&JournalEntry { index, output: output.clone() })
-                    .expect("append");
-                fingerprint.add_line(&lines[index]);
-                if (index + 1) % interval == 0 {
-                    let snapshot = Snapshot {
-                        completed: index + 1,
-                        output_fingerprint: fingerprint.as_hex(),
-                    };
-                    journal = JournalWriter::compact(&path, &manifest, &snapshot)
-                        .expect("compact");
-                }
-            }
-        }
-
-        // O(remainder): line count is manifest (+ snapshot) + at most
-        // `interval - 1` surviving entry lines — never O(k).
-        let raw_lines = std::fs::read_to_string(&path).expect("read raw").lines().count();
-        prop_assert!(
-            raw_lines <= interval + 1,
-            "journal holds {} lines at kill point {} (interval {})",
-            raw_lines, k, interval
-        );
-        let read = read_journal(&path).expect("read back");
-        prop_assert_eq!(read.completed(), k);
-        let snapshot_completed = (k / interval) * interval;
-        prop_assert_eq!(read.snapshot_completed(),
-            if snapshot_completed > 0 { snapshot_completed } else { 0 });
-        prop_assert_eq!(read.entries.len(), k - read.snapshot_completed());
-
-        // The snapshot fingerprint proves the durable output prefix.
-        if let Some(snapshot) = &read.snapshot {
-            let durable: String = lines.iter().map(|l| format!("{l}\n")).collect();
-            let (offset, fp) =
-                verify_output_prefix(&mut Cursor::new(durable.as_bytes()), snapshot)
-                    .expect("prefix verifies");
-            let want_offset: usize = lines[..snapshot.completed]
-                .iter()
-                .map(|l| l.len() + 1)
-                .sum();
-            prop_assert_eq!(offset as usize, want_offset);
-            prop_assert_eq!(fp.as_hex(), snapshot.output_fingerprint.clone());
-        }
-
-        // Resume: snapshot prefix (from the durable output) + replayed
-        // entries + freshly extracted tail == the uninterrupted run.
-        let mut resumed: Vec<String> = lines[..read.snapshot_completed()].to_vec();
-        resumed.extend(read.entries.iter().map(|e| {
-            serde_json::to_string(&e.output).expect("serialize entry")
-        }));
-        resumed.extend(output_lines(&engine(2).extract_batch(&texts[k..]).items));
-        let _ = std::fs::remove_file(&path);
-        prop_assert_eq!(resumed, lines);
     }
 }

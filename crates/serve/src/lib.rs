@@ -13,8 +13,9 @@
 //!   `std::net` (no async runtime, no external dependencies, same
 //!   philosophy as the vendored serde): sized bodies, keep-alive,
 //!   pipelining, `Expect: 100-continue`, chunked responses.
-//! * [`ndjson`] — the NDJSON note reader shared by `cmr extract -` and
-//!   the batch endpoint (one definition of "skip blank lines").
+//! * [`ndjson`] — the NDJSON note reader shared by `cmr extract` and
+//!   the batch endpoint (one definition of "skip blank lines"), owned by
+//!   `cmr-engine` and re-exported here.
 //! * [`Server`] — accept loop, readiness-polled idle set, bounded work
 //!   queue with `429` admission control, worker pool over
 //!   [`cmr_engine::ServiceHandle`], and graceful drain on the shared
@@ -31,7 +32,7 @@
 #![deny(clippy::unwrap_used)]
 
 pub mod http;
-pub mod ndjson;
+pub use cmr_engine::ndjson;
 mod server;
 
 pub use server::{ServeConfig, ServeError, ServeSummary, Server};

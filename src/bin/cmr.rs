@@ -12,13 +12,13 @@
 #![deny(clippy::unwrap_used)]
 
 use cmr::engine::{
-    merge_outputs, merge_quarantine, verify_output_prefix, CorpusHasher, JournalReplay,
-    OutputFingerprint, ShardSpec, Snapshot,
+    merge_artifacts, shard_path, AbortSite, DurableRun, JournalPolicy, Output, RunInput,
+    RunOutcome, ShardSpec,
 };
 use cmr::prelude::*;
 use cmr::serve::ndjson::note_from_line;
 use std::fs;
-use std::io::{BufRead, Seek, Write};
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -147,17 +147,6 @@ const EXIT_PARTIAL: u8 = 3;
 /// that is not journaled. Rerun with `--resume` once the condition is
 /// fixed.
 const EXIT_IO_FAULT: u8 = 4;
-
-/// Human label for the I/O failure classes the durability paths
-/// distinguish (the exit-code taxonomy's "why", printed alongside code 4).
-fn classify_io_error(e: &std::io::Error) -> &'static str {
-    match e.kind() {
-        std::io::ErrorKind::StorageFull => "disk full (ENOSPC)",
-        std::io::ErrorKind::PermissionDenied => "permission denied",
-        std::io::ErrorKind::WriteZero => "write made no progress",
-        _ => "I/O error",
-    }
-}
 
 /// `outln!`, minus the abort when the consumer hangs up: `cmr parse ... |
 /// head` closes stdout early, and a write to a closed pipe must end the
@@ -415,134 +404,6 @@ fn generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Where extraction's record lines land. Stdout is flushed per line —
-/// a downstream consumer (or a post-crash inspection) sees every
-/// completed record, and a closed pipe (`| head`) stops output without
-/// panicking the batch. An `--out` file is buffered (flushed at
-/// compaction points and at the end), and write errors are surfaced
-/// instead of swallowed: a truncated shard output would poison the merge.
-///
-/// Every emitted line also feeds the rolling [`OutputFingerprint`], which
-/// journal compaction snapshots so a resume can prove the output prefix
-/// on disk is the one the discarded journal entries produced.
-struct RecordSink {
-    dest: SinkDest,
-    failed: u64,
-    fingerprint: OutputFingerprint,
-    write_error: Option<std::io::Error>,
-}
-
-enum SinkDest {
-    Stdout {
-        w: std::io::StdoutLock<'static>,
-        closed: bool,
-    },
-    File {
-        w: std::io::BufWriter<fs::File>,
-    },
-}
-
-impl RecordSink {
-    fn stdout() -> RecordSink {
-        RecordSink {
-            dest: SinkDest::Stdout {
-                w: std::io::stdout().lock(),
-                closed: false,
-            },
-            failed: 0,
-            fingerprint: OutputFingerprint::new(),
-            write_error: None,
-        }
-    }
-
-    fn file(f: fs::File) -> RecordSink {
-        RecordSink {
-            dest: SinkDest::File {
-                w: std::io::BufWriter::new(f),
-            },
-            failed: 0,
-            fingerprint: OutputFingerprint::new(),
-            write_error: None,
-        }
-    }
-
-    fn create(path: &str) -> Result<RecordSink, String> {
-        let f = fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-        Ok(RecordSink::file(f))
-    }
-
-    /// Continues the fingerprint from a compaction snapshot instead of
-    /// from the empty stream.
-    fn with_fingerprint(mut self, fingerprint: OutputFingerprint) -> RecordSink {
-        self.fingerprint = fingerprint;
-        self
-    }
-
-    /// One line per record, in input order: the record JSON, or an
-    /// in-band error object so the stream stays one object per input.
-    fn emit(&mut self, result: &Result<ExtractedRecord, EngineError>) {
-        let line = match result {
-            Ok(rec) => serde_json::to_string(rec).expect("record serializes"),
-            Err(e) => {
-                self.failed += 1;
-                format!(
-                    "{{\"error\":{}}}",
-                    serde_json::to_string(&e.to_string()).expect("string serializes")
-                )
-            }
-        };
-        self.fingerprint.add_line(&line);
-        match &mut self.dest {
-            SinkDest::Stdout { w, closed } => {
-                if !*closed && (writeln!(w, "{line}").is_err() || w.flush().is_err()) {
-                    *closed = true;
-                }
-            }
-            SinkDest::File { w } => {
-                if self.write_error.is_none() {
-                    if let Err(e) = writeln!(w, "{line}") {
-                        self.write_error = Some(e);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pushes buffered lines to disk (no-op for stdout, which flushes
-    /// per line). Compaction must call this first: once the journal
-    /// entries are gone, the snapshot fingerprint is only honest about
-    /// bytes that survive a crash.
-    fn flush(&mut self) -> std::io::Result<()> {
-        match &mut self.dest {
-            SinkDest::Stdout { .. } => Ok(()),
-            SinkDest::File { w } => {
-                if let Some(e) = self.write_error.take() {
-                    return Err(e);
-                }
-                w.flush()
-            }
-        }
-    }
-}
-
-/// Streams the cleaned note texts of an NDJSON corpus file, optionally
-/// keeping only one shard's slice of the global index space. O(one line)
-/// memory; the file can be re-read for a second pass (corpus hashing,
-/// then feeding), which stdin cannot.
-fn ndjson_notes(
-    path: &str,
-    shard: Option<ShardSpec>,
-) -> Result<impl Iterator<Item = String> + Send, String> {
-    let f = fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-    Ok(std::io::BufReader::new(f)
-        .lines()
-        .map_while(Result::ok)
-        .filter_map(|l| note_from_line(&l))
-        .enumerate()
-        .filter(move |(g, _)| shard.is_none_or(|s| s.owns(*g)))
-        .map(|(_, text)| text))
-}
-
 fn extract(args: &[String]) -> Result<ExitCode, String> {
     let mut jobs = "1".to_string();
     let mut queue_depth = "32".to_string();
@@ -627,16 +488,39 @@ fn extract(args: &[String]) -> Result<ExitCode, String> {
         Some(ShardSpec::parse(&shard_spec)?)
     };
     let from_stdin = inputs.len() == 1 && inputs[0] == "-";
-    // The corpus file of a streamed (--ndjson) run; stdin stays the
-    // materialized path because it cannot be re-read for a second pass.
-    let ndjson_file: Option<String> = if ndjson && !from_stdin {
-        Some(inputs[0].clone())
-    } else {
-        None
-    };
-    if shard.is_some() && ndjson_file.is_none() {
+    // A streamed (--ndjson) corpus file is re-readable, so even a
+    // journaled run never materializes it. Stdin cannot be re-read: a
+    // journaled run materializes it, an unjournaled one streams it.
+    let input = if ndjson && !from_stdin {
+        RunInput::NdjsonFile(PathBuf::from(&inputs[0]))
+    } else if shard.is_some() {
         return Err("--shard needs --ndjson with a corpus file (a re-readable input)".to_string());
-    }
+    } else if from_stdin {
+        // `StdinLock` is not `Send`, and the feeder thread consumes the
+        // iterator — so take the lock per line.
+        let stdin = std::io::stdin();
+        let notes = std::iter::from_fn(move || {
+            let mut buf = String::new();
+            match stdin.lock().read_line(&mut buf) {
+                Ok(0) | Err(_) => None,
+                Ok(_) => Some(buf),
+            }
+        })
+        .filter_map(|l| note_from_line(&l));
+        if journal.is_empty() {
+            RunInput::Stream(Box::new(notes))
+        } else {
+            RunInput::Texts(notes.collect())
+        }
+    } else {
+        // Read the files up front so I/O errors fail the command before
+        // any output is produced.
+        let mut texts = Vec::with_capacity(inputs.len());
+        for path in &inputs {
+            texts.push(fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?);
+        }
+        RunInput::Texts(texts)
+    };
     let cfg = EngineConfig {
         jobs,
         queue_depth: queue_depth.max(1),
@@ -649,356 +533,63 @@ fn extract(args: &[String]) -> Result<ExitCode, String> {
         },
         ..EngineConfig::default()
     };
-    let shutdown_flag = shutdown::install();
-    let mut engine = Engine::new(cfg.clone(), Schema::paper(), Ontology::full())
-        .with_shutdown(std::sync::Arc::clone(&shutdown_flag));
-    if !quarantine.is_empty() {
-        let qpath = PathBuf::from(&quarantine);
-        // A resumed run appends: entries from the killed attempt survive,
-        // and `cmr merge` dedupes the double-quarantine that a kill
-        // between quarantine-append and journal-append leaves behind.
-        let file = if resume {
-            QuarantineFile::open_append(&qpath)
-        } else {
-            QuarantineFile::create(&qpath)
-        }
-        .map_err(|e| format!("opening {quarantine}: {e}"))?;
-        // Sharded entries carry their *global* corpus index, so merged
-        // quarantine files read like an unsharded run's.
-        let file = match shard {
-            Some(s) => file.with_index_mapping(s.index, s.total),
-            None => file,
-        };
-        engine = engine.with_quarantine(file);
-    }
-
-    let (sink, metrics, partial) = if !journal.is_empty() {
-        // Journaled (durable) run. The manifest fingerprints the corpus
-        // so a resume against different input is rejected. An --ndjson
-        // file corpus streams twice (hash pass, then feed pass) in
-        // O(one record) memory; stdin and note files are materialized as
-        // before (stdin cannot be re-read, and argv-sized file lists are
-        // not the corpus-scale path).
-        let (manifest, total, texts): (RunManifest, usize, Option<Vec<String>>) =
-            if let Some(corpus) = &ndjson_file {
-                let mut hasher = CorpusHasher::new();
-                for note in ndjson_notes(corpus, shard)? {
-                    hasher.add(&note);
+    let engine = Engine::new(cfg, Schema::paper(), Ontology::full());
+    let mut run = DurableRun::new(engine, input, Output::from(out.as_str()));
+    run.shard = shard;
+    run.quarantine = (!quarantine.is_empty()).then(|| PathBuf::from(&quarantine));
+    run.journal = (!journal.is_empty()).then(|| JournalPolicy {
+        path: PathBuf::from(&journal),
+        resume,
+        compact_every,
+    });
+    run.kill_after = kill_after;
+    run.shutdown = shutdown::install();
+    run.notice = Box::new(|notice| eprintln!("cmr: {notice}"));
+    let report = run.run()?;
+    let (completed, total) = (report.completed, report.total);
+    let partial = match &report.outcome {
+        RunOutcome::Complete => false,
+        RunOutcome::Aborted(abort) => {
+            match abort.site {
+                AbortSite::JournalCreate => {
+                    eprintln!("cmr: {abort}\ncmr: no records were processed")
                 }
-                let total = hasher.records();
-                (
-                    RunManifest::for_corpus(&cfg, hasher.finish(), total),
-                    total,
-                    None,
-                )
-            } else {
-                let texts: Vec<String> = if from_stdin {
-                    std::io::stdin()
-                        .lock()
-                        .lines()
-                        .map_while(Result::ok)
-                        .filter_map(|l| note_from_line(&l))
-                        .collect()
-                } else {
-                    let mut texts = Vec::with_capacity(inputs.len());
-                    for path in &inputs {
-                        texts.push(
-                            fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?,
-                        );
-                    }
-                    texts
-                };
-                let total = texts.len();
-                (RunManifest::for_run(&cfg, &texts), total, Some(texts))
-            };
-        let jpath = PathBuf::from(&journal);
-        // A journal that died at birth — the crash or ENOSPC hit before
-        // the manifest line was complete — holds nothing and proves
-        // nothing was emitted (write-ahead: the manifest precedes every
-        // record). Resume heals it by starting fresh, like a torn tail.
-        let journal_born = jpath.exists()
-            && fs::read(&jpath)
-                .map(|bytes| bytes.contains(&b'\n'))
-                .unwrap_or(false);
-        // Deterministic counters reconstructed from replayed entries, so
-        // a resumed run's metrics cover the whole shard (merged with the
-        // engine's own snapshot below).
-        let mut replay_metrics = EngineMetrics::default();
-        let (mut writer, start, mut sink) = if resume && journal_born {
-            let mut replay = JournalReplay::open(&jpath).map_err(|e| e.to_string())?;
-            if let Some(why) = replay.manifest().mismatch(&manifest) {
-                return Err(format!("cannot resume {journal}: {why}"));
-            }
-            let snapshot = replay.snapshot().cloned();
-            let mut sink = match &snapshot {
-                Some(snap) => {
-                    // Compacted journal: the pre-snapshot records have no
-                    // entries left to replay. The snapshot's rolling
-                    // fingerprint carries the output identity across the
-                    // gap.
-                    let fp = OutputFingerprint::from_hex(&snap.output_fingerprint)
-                        .ok_or_else(|| format!("cannot resume {journal}: corrupt snapshot"))?;
-                    if out == "-" {
-                        eprintln!(
-                            "cmr: resuming a compacted journal to stdout: the {} record(s) \
-                             before the snapshot were emitted by the previous run and are \
-                             not replayed",
-                            snap.completed
-                        );
-                        RecordSink::stdout().with_fingerprint(fp)
-                    } else {
-                        // Prove the --out file's prefix is the one the
-                        // discarded entries produced, drop anything after
-                        // it (un-journaled tail from the crash), and
-                        // append.
-                        let f = fs::File::open(&out).map_err(|e| {
-                            format!(
-                                "cannot resume a compacted journal without its output \
-                                 file {out}: {e}"
-                            )
-                        })?;
-                        let (valid_bytes, _) =
-                            verify_output_prefix(&mut std::io::BufReader::new(f), snap)
-                                .map_err(|e| format!("cannot resume {journal}: {e}"))?;
-                        let mut f = fs::OpenOptions::new()
-                            .write(true)
-                            .open(&out)
-                            .map_err(|e| format!("opening {out}: {e}"))?;
-                        f.set_len(valid_bytes)
-                            .and_then(|()| f.seek(std::io::SeekFrom::Start(valid_bytes)))
-                            .map_err(|e| format!("truncating {out}: {e}"))?;
-                        RecordSink::file(f).with_fingerprint(fp)
-                    }
-                }
-                None => {
-                    if out == "-" {
-                        RecordSink::stdout()
-                    } else {
-                        // Uncompacted resume rebuilds the output file from
-                        // the full replay.
-                        RecordSink::create(&out)?
-                    }
-                }
-            };
-            // Stream the journaled prefix straight to output — O(one
-            // entry) memory — so the final output is byte-identical to an
-            // uninterrupted run.
-            let mut replayed = 0usize;
-            while let Some(step) = replay.next_entry() {
-                let entry = step.map_err(|e| e.to_string())?;
-                replay_metrics.absorb_replayed(&entry.output);
-                sink.emit(&entry.output);
-                replayed += 1;
-            }
-            let start = replay.completed();
-            eprintln!(
-                "cmr: resuming {journal}: {start}/{total} record(s) already journaled \
-                 ({replayed} replayed)"
-            );
-            let writer = match JournalWriter::append_to(&jpath, replay.valid_len()) {
-                Ok(w) => w,
-                Err(e) => {
+                AbortSite::JournalReopen => eprintln!(
+                    "cmr: {abort}\ncmr: no records were processed; the journal is untouched"
+                ),
+                _ => {
                     eprintln!(
-                        "cmr: reopening {journal}: {} ({e})\n\
-                         cmr: no records were processed; the journal is untouched",
-                        classify_io_error(&e)
+                        "cmr: {abort}\n\
+                         cmr: aborted cleanly — {completed}/{} record(s) journaled, \
+                         nothing emitted beyond the journal; fix the underlying condition \
+                         and rerun with --journal {journal} --resume",
+                        total.unwrap_or(completed)
                     );
-                    return Ok(ExitCode::from(EXIT_IO_FAULT));
-                }
-            };
-            (writer, start, sink)
-        } else {
-            let writer = match JournalWriter::create(&jpath, &manifest) {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!(
-                        "cmr: creating {journal}: {} ({e})\n\
-                         cmr: no records were processed",
-                        classify_io_error(&e)
-                    );
-                    return Ok(ExitCode::from(EXIT_IO_FAULT));
-                }
-            };
-            let sink = if out == "-" {
-                RecordSink::stdout()
-            } else {
-                RecordSink::create(&out)?
-            };
-            (writer, 0, sink)
-        };
-
-        let feed: Box<dyn Iterator<Item = String> + Send> = match (ndjson_file.as_ref(), texts) {
-            (Some(corpus), _) => Box::new(ndjson_notes(corpus, shard)?.skip(start)),
-            (None, Some(texts)) => Box::new(texts.into_iter().skip(start)),
-            (None, None) => unreachable!("materialized paths always carry texts"),
-        };
-        let mut abort_error: Option<String> = None;
-        let mut newly_journaled = 0u64;
-        let mut seen = 0usize;
-        let fault_flag = std::sync::Arc::clone(&shutdown_flag);
-        let metrics = engine.extract_stream(feed, |idx, result| {
-            let entry = JournalEntry {
-                index: start + idx,
-                output: result,
-            };
-            // Write-ahead ordering: the journal line lands before the
-            // record becomes visible on the output, so every record a
-            // consumer has seen is recoverable after a crash. A failed
-            // append (ENOSPC, torn write) therefore aborts cleanly: raise
-            // the shutdown flag so the pool drains, and emit nothing
-            // further — an un-journaled record in the output would be
-            // lost to resume.
-            if abort_error.is_none() {
-                if let Err(e) = writer.append(&entry) {
-                    abort_error = Some(format!(
-                        "writing {journal}: {} ({e})",
-                        classify_io_error(&e)
-                    ));
-                    fault_flag.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-            }
-            if abort_error.is_some() {
-                return;
-            }
-            sink.emit(&entry.output);
-            if let Some(e) = sink.write_error.take() {
-                // The inverse failure: the record is journaled but its
-                // output line is not durable. Abort cleanly; resume
-                // rebuilds the output from the journal.
-                abort_error = Some(format!("writing {out}: {} ({e})", classify_io_error(&e)));
-                fault_flag.store(true, std::sync::atomic::Ordering::Relaxed);
-                return;
-            }
-            seen += 1;
-            newly_journaled += 1;
-            if kill_after == Some(newly_journaled) {
-                // Crash-injection hook for the durability tests: die hard
-                // (no unwinding, no flushes) right after journaling the
-                // N-th new record, like a `kill -9` at the worst moment.
-                std::process::abort();
-            }
-            if compact_every > 0 && newly_journaled.is_multiple_of(compact_every) {
-                // The output must be on disk before the entry lines
-                // vanish: after compaction the journal proves only the
-                // snapshot, whose fingerprint must describe bytes that
-                // survive a crash.
-                if let Err(e) = sink.flush() {
-                    abort_error = Some(format!("writing {out}: {} ({e})", classify_io_error(&e)));
-                    fault_flag.store(true, std::sync::atomic::Ordering::Relaxed);
-                    return;
-                }
-                let snap = Snapshot {
-                    completed: start + seen,
-                    output_fingerprint: sink.fingerprint.as_hex(),
-                };
-                match JournalWriter::compact(&jpath, &manifest, &snap) {
-                    Ok(compacted) => writer = compacted,
-                    Err(e) => {
-                        // The old journal is untouched on error — still a
-                        // valid prefix, so this aborts exactly like a
-                        // failed append.
-                        abort_error = Some(format!(
-                            "compacting {journal}: {} ({e})",
-                            classify_io_error(&e)
-                        ));
-                        fault_flag.store(true, std::sync::atomic::Ordering::Relaxed);
+                    if stats {
+                        if let Ok(json) = serde_json::to_string_pretty(&report.metrics) {
+                            eprintln!("{json}");
+                        }
                     }
-                }
-            }
-        });
-        let mut metrics = metrics;
-        metrics.merge(&replay_metrics);
-        let completed = start + seen;
-        if abort_error.is_none() {
-            if let Err(e) = sink.flush() {
-                abort_error = Some(format!("writing {out}: {} ({e})", classify_io_error(&e)));
-            }
-        }
-        if let Some(e) = abort_error {
-            eprintln!(
-                "cmr: {e}\n\
-                 cmr: aborted cleanly — {completed}/{total} record(s) journaled, \
-                 nothing emitted beyond the journal; fix the underlying condition \
-                 and rerun with --journal {journal} --resume"
-            );
-            if stats {
-                if let Ok(json) = serde_json::to_string_pretty(&metrics) {
-                    eprintln!("{json}");
                 }
             }
             return Ok(ExitCode::from(EXIT_IO_FAULT));
         }
-        if completed < total {
-            eprintln!(
-                "cmr: interrupted — {completed}/{total} record(s) journaled; \
-                 rerun with --journal {journal} --resume to finish"
-            );
-        }
-        (sink, metrics, completed < total)
-    } else if let Some(corpus) = &ndjson_file {
-        // Streamed, un-journaled corpus run: one pass, O(queue) memory.
-        let mut sink = if out == "-" {
-            RecordSink::stdout()
-        } else {
-            RecordSink::create(&out)?
-        };
-        let metrics = engine.extract_stream(ndjson_notes(corpus, shard)?, |_idx, result| {
-            sink.emit(&result);
-        });
-        sink.flush().map_err(|e| format!("writing {out}: {e}"))?;
-        let partial = shutdown_flag.load(std::sync::atomic::Ordering::Relaxed);
-        (sink, metrics, partial)
-    } else if from_stdin {
-        // Stream NDJSON records from stdin through the engine under
-        // backpressure: at most `queue_depth` records are buffered.
-        // (`StdinLock` is not `Send`, and the feeder thread consumes the
-        // iterator — so take the lock per line.)
-        let mut sink = if out == "-" {
-            RecordSink::stdout()
-        } else {
-            RecordSink::create(&out)?
-        };
-        let stdin = std::io::stdin();
-        let lines = std::iter::from_fn(move || {
-            let mut buf = String::new();
-            match stdin.lock().read_line(&mut buf) {
-                Ok(0) | Err(_) => None,
-                Ok(_) => Some(buf),
+        RunOutcome::Interrupted => {
+            // Without a known length, the stop was signal-initiated.
+            if let Some(total) = total {
+                if journal.is_empty() {
+                    eprintln!("cmr: interrupted — {completed}/{total} record(s) extracted");
+                } else {
+                    eprintln!(
+                        "cmr: interrupted — {completed}/{total} record(s) journaled; \
+                         rerun with --journal {journal} --resume to finish"
+                    );
+                }
             }
-        })
-        .filter_map(|l| note_from_line(&l));
-        let metrics = engine.extract_stream(lines, |_idx, result| {
-            sink.emit(&result);
-        });
-        sink.flush().map_err(|e| format!("writing {out}: {e}"))?;
-        // Without a known corpus length, "partial" means the stop was
-        // signal-initiated rather than end-of-input.
-        let partial = shutdown_flag.load(std::sync::atomic::Ordering::Relaxed);
-        (sink, metrics, partial)
-    } else {
-        // Read the files up front so I/O errors fail the command before
-        // any output is produced.
-        let mut texts = Vec::with_capacity(inputs.len());
-        for path in &inputs {
-            texts.push(fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?);
+            true
         }
-        let total = texts.len();
-        let mut sink = if out == "-" {
-            RecordSink::stdout()
-        } else {
-            RecordSink::create(&out)?
-        };
-        let mut seen = 0usize;
-        let metrics = engine.extract_stream(texts.into_iter(), |_idx, result| {
-            sink.emit(&result);
-            seen += 1;
-        });
-        sink.flush().map_err(|e| format!("writing {out}: {e}"))?;
-        if seen < total {
-            eprintln!("cmr: interrupted — {seen}/{total} record(s) extracted");
-        }
-        (sink, metrics, seen < total)
     };
+    let metrics = report.metrics;
 
     if !metrics_out.is_empty() {
         let json = serde_json::to_string_pretty(&metrics).map_err(|e| e.to_string())?;
@@ -1015,10 +606,10 @@ fn extract(args: &[String]) -> Result<ExitCode, String> {
             eprintln!("{json}");
         }
     }
-    if sink.failed > 0 {
+    if report.failed > 0 {
         eprintln!(
             "cmr: {} record(s) failed (see in-band \"error\" objects)",
-            sink.failed
+            report.failed
         );
     }
     Ok(if partial {
@@ -1028,81 +619,27 @@ fn extract(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// Path of one shard's artifact inside the shared run directory, by the
-/// convention `cmr orchestrate` writes and `cmr merge` reads:
-/// `DIR/shard-<i>.<suffix>`.
-fn shard_path(dir: &str, index: usize, suffix: &str) -> PathBuf {
-    PathBuf::from(dir).join(format!("shard-{index}.{suffix}"))
-}
-
-/// Recombines the artifacts of an `n`-way sharded run under `dir` into
-/// unsharded-identical files: outputs round-robin interleaved (required),
-/// metrics summed and quarantines deduped (each optional, gated on a
-/// destination path). Returns the merged record-line count.
-fn merge_artifacts(
+/// Merges an `n`-way sharded run's artifacts in `dir`; empty metrics and
+/// quarantine destinations are skipped. Returns the merged record count.
+fn merge_run(
     dir: &str,
     n: usize,
     out: &str,
     metrics_out: &str,
     quarantine_out: &str,
 ) -> Result<u64, String> {
-    let mut readers = Vec::with_capacity(n);
-    for i in 0..n {
-        let p = shard_path(dir, i, "out.ndjson");
-        let f = fs::File::open(&p).map_err(|e| format!("opening {}: {e}", p.display()))?;
-        readers.push(std::io::BufReader::new(f));
+    let optional = |p: &str| (!p.is_empty()).then(|| PathBuf::from(p));
+    let summary = merge_artifacts(
+        Path::new(dir),
+        n,
+        &Output::from(out),
+        optional(metrics_out).as_deref(),
+        optional(quarantine_out).as_deref(),
+    )?;
+    if let Some(q) = summary.quarantined {
+        eprintln!("cmr: merged quarantine: {q} record(s) after dedupe");
     }
-    let lines = if out == "-" {
-        let stdout = std::io::stdout();
-        let mut w = stdout.lock();
-        merge_outputs(&mut readers, &mut w).map_err(|e| e.to_string())?
-    } else {
-        let f = fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
-        let mut w = std::io::BufWriter::new(f);
-        let lines = merge_outputs(&mut readers, &mut w).map_err(|e| e.to_string())?;
-        w.flush().map_err(|e| format!("writing {out}: {e}"))?;
-        lines
-    };
-    if !metrics_out.is_empty() {
-        let mut total = EngineMetrics::default();
-        for i in 0..n {
-            let p = shard_path(dir, i, "metrics.json");
-            let json =
-                fs::read_to_string(&p).map_err(|e| format!("reading {}: {e}", p.display()))?;
-            let m: EngineMetrics =
-                serde_json::from_str(&json).map_err(|e| format!("parsing {}: {e}", p.display()))?;
-            total.merge(&m);
-        }
-        let json = serde_json::to_string_pretty(&total).map_err(|e| e.to_string())?;
-        fs::write(metrics_out, format!("{json}\n"))
-            .map_err(|e| format!("writing {metrics_out}: {e}"))?;
-    }
-    if !quarantine_out.is_empty() {
-        let mut entries = Vec::new();
-        for i in 0..n {
-            let p = shard_path(dir, i, "quarantine.ndjson");
-            // A shard that never quarantined anything may simply have no
-            // file (orchestrate always passes --quarantine, but hand-run
-            // shards might not).
-            if p.exists() {
-                entries.extend(
-                    read_quarantine(&p).map_err(|e| format!("reading {}: {e}", p.display()))?,
-                );
-            }
-        }
-        let merged = merge_quarantine(entries);
-        let mut body = String::new();
-        for e in &merged {
-            body.push_str(&serde_json::to_string(e).map_err(|e| e.to_string())?);
-            body.push('\n');
-        }
-        fs::write(quarantine_out, body).map_err(|e| format!("writing {quarantine_out}: {e}"))?;
-        eprintln!(
-            "cmr: merged quarantine: {} record(s) after dedupe",
-            merged.len()
-        );
-    }
-    Ok(lines)
+    Ok(summary.records)
 }
 
 /// `cmr merge`: recombine an N-way sharded run's artifacts into what the
@@ -1136,7 +673,7 @@ fn merge(args: &[String]) -> Result<ExitCode, String> {
     if n == 0 {
         return Err("--shards must be an integer >= 1".to_string());
     }
-    let lines = merge_artifacts(&dir, n, &out, &metrics_out, &quarantine_out)?;
+    let lines = merge_run(&dir, n, &out, &metrics_out, &quarantine_out)?;
     eprintln!("cmr: merged {lines} record(s) from {n} shard(s)");
     Ok(ExitCode::SUCCESS)
 }
@@ -1164,14 +701,14 @@ fn spawn_shard(
         .arg("--jobs")
         .arg(jobs)
         .arg("--journal")
-        .arg(shard_path(dir, index, "journal"))
+        .arg(shard_path(Path::new(dir), index, "journal"))
         .arg("--resume")
         .arg("--out")
-        .arg(shard_path(dir, index, "out.ndjson"))
+        .arg(shard_path(Path::new(dir), index, "out.ndjson"))
         .arg("--metrics")
-        .arg(shard_path(dir, index, "metrics.json"))
+        .arg(shard_path(Path::new(dir), index, "metrics.json"))
         .arg("--quarantine")
-        .arg(shard_path(dir, index, "quarantine.ndjson"));
+        .arg(shard_path(Path::new(dir), index, "quarantine.ndjson"));
     if !compact_every.is_empty() {
         cmd.arg("--compact-every").arg(compact_every);
     }
@@ -1414,7 +951,7 @@ fn orchestrate(args: &[String]) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::from(1));
     }
-    let lines = merge_artifacts(&dir, n, &out, &metrics_out, &quarantine_out)?;
+    let lines = merge_run(&dir, n, &out, &metrics_out, &quarantine_out)?;
     eprintln!("cmr: all {n} shard(s) completed — merged {lines} record(s)");
     Ok(ExitCode::SUCCESS)
 }
@@ -1709,30 +1246,7 @@ fn chaos_io_faults(
             .map_err(|_| "--jobs must be an integer".to_string())?,
     };
     let report = run_io_faults(&cfg)?;
-    outln!(
-        "io-fault sweep: {} record(s), seed {}, {} schedule(s)",
-        report.records,
-        report.seed,
-        report.schedules.len()
-    );
-    outln!("kind        fires  abort  ok  schedule");
-    for s in &report.schedules {
-        outln!(
-            "{:<11} {:<6} {:<6} {:<3} {}",
-            s.kind,
-            s.fires,
-            if s.clean_abort { "yes" } else { "no" },
-            if s.violations.is_empty() {
-                "ok"
-            } else {
-                "FAIL"
-            },
-            s.schedule
-        );
-        for v in &s.violations {
-            outln!("            violation: {v}");
-        }
-    }
+    outln!("{report}");
     if !out.is_empty() {
         let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
         if out == "-" {

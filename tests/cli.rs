@@ -82,6 +82,51 @@ fn generate_then_extract_parallel_yields_json_per_note() {
     let serial = extract_stdout(&notes, "1");
     assert_eq!(serial, stdout, "--jobs 1 and --jobs 4 outputs differ");
 
+    // The same contract when one slow note holds emission back while the
+    // other worker runs hundreds of records ahead of it.
+    let corpus = dir.join("long-note-first.ndjson");
+    let generated = cmr()
+        .args(["generate", "--count", "799", "--seed", "3", "--out", "-"])
+        .output()
+        .expect("run cmr generate");
+    assert!(generated.status.success(), "generate failed");
+    // Two long coordination chains: most of a second of link parsing.
+    let chain = |k: usize| {
+        let segments = [
+            "pulse of 84",
+            "pressure of 90",
+            "temperature of 98",
+            "weight of 150",
+            "rate of 20",
+        ];
+        let chain: Vec<&str> = (0..k).map(|i| segments[i % 5]).collect();
+        format!("P{}", &chain.join(" and ")[1..])
+    };
+    let long_note = format!("Vitals:  {}.  {}.\n", chain(12), chain(11));
+    let mut ndjson = serde_json::to_string(&long_note).expect("encode note");
+    ndjson.push('\n');
+    ndjson.push_str(&String::from_utf8(generated.stdout).expect("utf-8 corpus"));
+    std::fs::write(&corpus, ndjson).expect("write corpus");
+    let extract_ndjson = |jobs: &str| {
+        let out = cmr()
+            .args(["extract", "--ndjson", "--jobs", jobs])
+            .arg(&corpus)
+            .output()
+            .expect("run cmr extract --ndjson");
+        assert!(
+            out.status.success(),
+            "extract --ndjson --jobs {jobs} failed"
+        );
+        String::from_utf8(out.stdout).expect("utf-8 output")
+    };
+    let serial = extract_ndjson("1");
+    assert_eq!(serial.lines().count(), 800, "one output line per note");
+    assert_eq!(
+        extract_ndjson("2"),
+        serial,
+        "--jobs 2 lost or reordered records behind a slow note"
+    );
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -352,6 +397,57 @@ fn journaled_crash_then_resume_is_byte_identical() {
         stderr.contains("resuming") && stderr.contains("2/6"),
         "resume reports the replayed prefix: {stderr}"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Compaction counts the run's completed records — replayed and new —
+/// not the records since the last resume, so a killed-and-resumed run's
+/// journal stays within interval + 1 lines and its output identical.
+/// The kill at 8 lands between a record's append and its compaction.
+#[test]
+fn compaction_interval_holds_across_kill_and_resume() {
+    let dir = scratch("compact-resume");
+    let notes = generate_notes(&dir, 10);
+    let journal = dir.join("run.journal");
+    let out = dir.join("out.ndjson");
+    let uninterrupted = extract_stdout(&notes, "1");
+    let journaled = |extra: &[&str]| {
+        cmr()
+            .arg("extract")
+            .arg("--journal")
+            .arg(&journal)
+            .args(["--compact-every", "4", "--out"])
+            .arg(&out)
+            .args(extra)
+            .args(&notes)
+            .output()
+            .expect("run journaled extract")
+    };
+    for kill_after in ["7", "8"] {
+        let crashed = journaled(&["--kill-after", kill_after]);
+        assert!(!crashed.status.success(), "--kill-after must abort");
+        let resumed = journaled(&["--resume"]);
+        assert!(
+            resumed.status.success(),
+            "resume failed: {}",
+            String::from_utf8_lossy(&resumed.stderr)
+        );
+        assert_eq!(
+            std::fs::read_to_string(&out).expect("read output"),
+            uninterrupted,
+            "resumed output must be byte-identical to the uninterrupted run"
+        );
+        let lines = std::fs::read_to_string(&journal)
+            .expect("read journal")
+            .lines()
+            .count();
+        assert!(
+            lines <= 5,
+            "killed after {kill_after}: journal holds {lines} lines; compaction every 4 \
+             bounds it to 5"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
