@@ -5,34 +5,26 @@
 //! syntax tree, no new dependencies) cleans comments and string literals
 //! out of each file, tracks brace depth and a few interesting regions
 //! (`#[cfg(test)]` items, `impl Drop for` bodies, `extern "C" fn` signal
-//! handlers, `#[allow(clippy::unwrap_used)]` spans), then runs
-//! line-oriented pattern checks:
+//! handlers), then runs line-oriented pattern checks:
 //!
 //! * **CMR-S001** — a `Mutex`/`RwLock` guard held across `.send()`,
 //!   `.recv()`, or file/socket I/O in the same block;
-//! * **CMR-S002** — `.unwrap()` (warning) or `.expect(` (note) outside
-//!   `#[cfg(test)]` in a crate that denies `clippy::unwrap_used`;
 //! * **CMR-S003** — allocation or panic-capable calls inside an
 //!   `extern "C" fn` body (the signal-handler region);
 //! * **CMR-S004** — panic-capable calls inside `impl Drop for` bodies
 //!   (a panic in drop during unwind is an abort);
-//! * **CMR-S005** — a raw `std::sync` primitive constructed in a file
-//!   where the tracked wrappers (`cmr_sync`) are mandated;
-//! * **CMR-S006** — `.lock().unwrap()`-style poison propagation where
-//!   the workspace convention is poison *recovery*;
-//! * **CMR-S007** — `let _ = ….lock()`, which drops the guard
-//!   immediately (almost always a lost critical section);
 //! * **CMR-S008** — `thread::sleep` while a guard is live.
+//!
+//! Only what the compiler cannot see is checked here. Unwrap discipline
+//! is `clippy::unwrap_used`, which every crate root denies, and a
+//! discarded guard (`let _ = m.lock()`) is rustc's deny-by-default
+//! `let_underscore_lock`.
 //!
 //! Deliberate exceptions are annotated in the source with
 //! `// cmr:allow(S001) -- reason`, which downgrades the finding on the
 //! same or the following line to `Note` — still visible in every report,
 //! never failing `--deny warnings`. This mirrors how the asset checks
 //! treat deliberate-but-suspicious patterns.
-//!
-//! The runtime half of the S series (`CMR-S100`–`S102`) is emitted by
-//! `cmr_sync`'s lockcheck layer, not by this pass; the codes are
-//! registered here so SARIF consumers see one rule table for the family.
 
 use crate::{Diagnostic, Severity};
 use std::path::{Path, PathBuf};
@@ -46,18 +38,6 @@ pub struct SourceFile {
     /// Full file contents.
     pub text: String,
 }
-
-/// Files where raw `std::sync::Mutex`/`RwLock`/`Condvar` construction is
-/// a finding: the shared state in these files is exactly what the
-/// tracked wrappers exist for.
-const TRACKED_MANDATED: &[&str] = &[
-    "crates/linkgram/src/parser.rs",
-    "crates/engine/src/engine.rs",
-    "crates/engine/src/metrics.rs",
-    "crates/engine/src/pool.rs",
-    "crates/engine/src/service.rs",
-    "crates/serve/src/server.rs",
-];
 
 /// Channel and I/O calls that must not run under a lock guard (S001).
 const GUARD_HAZARDS: &[&str] = &[
@@ -120,8 +100,6 @@ struct LineInfo {
     text: String,
     /// Inside a `#[cfg(…test…)]`/`#[test]` item.
     in_test: bool,
-    /// Inside an `#[allow(clippy::unwrap_used)]` (or `expect_used`) item.
-    in_allow_unwrap: bool,
     /// Inside an `impl Drop for` item.
     in_drop: bool,
     /// Inside an `extern "C" fn` body.
@@ -186,27 +164,20 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Runs every source check over `files`, appending findings to `out`.
 pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
-    let deny_unwrap = deny_unwrap_map(files);
     for file in files {
         let lines = scan(&file.text);
         let asset: &'static str = Box::leak(file.path.clone().into_boxed_str());
         let ctx = Ctx {
             asset,
-            denies_unwrap: crate_denies_unwrap(&file.path, &deny_unwrap, &file.text),
-            mandated: TRACKED_MANDATED.iter().any(|m| file.path == *m),
             lines: &lines,
         };
-        check_guard_windows(&ctx, out); // S001, S007, S008
-        check_unwrap_expect(&ctx, out); // S002, S006
+        check_guard_windows(&ctx, out); // S001, S008
         check_regions(&ctx, out); // S003, S004
-        check_untracked(&ctx, out); // S005
     }
 }
 
 struct Ctx<'a> {
     asset: &'static str,
-    denies_unwrap: bool,
-    mandated: bool,
     lines: &'a [LineInfo],
 }
 
@@ -242,30 +213,6 @@ impl Ctx<'_> {
     }
 }
 
-/// Which crate roots carry `#![deny(clippy::unwrap_used)]`.
-fn deny_unwrap_map(files: &[SourceFile]) -> Vec<(String, bool)> {
-    files
-        .iter()
-        .filter(|f| f.path.ends_with("/src/lib.rs") || f.path == "src/lib.rs")
-        .map(|f| {
-            let dir = f.path.trim_end_matches("lib.rs").to_string();
-            (dir, f.text.contains("deny(clippy::unwrap_used"))
-        })
-        .collect()
-}
-
-fn crate_denies_unwrap(path: &str, map: &[(String, bool)], text: &str) -> bool {
-    // Binary roots (src/bin/*.rs, src/main.rs) are their own crate: the
-    // deny attribute must be in the file itself.
-    if path.contains("/bin/") || path.ends_with("/main.rs") {
-        return text.contains("deny(clippy::unwrap_used");
-    }
-    map.iter()
-        .filter(|(dir, _)| path.starts_with(dir.as_str()))
-        .max_by_key(|(dir, _)| dir.len())
-        .is_some_and(|(_, denies)| *denies)
-}
-
 // ---------------------------------------------------------------------
 // The scanner
 // ---------------------------------------------------------------------
@@ -280,7 +227,6 @@ fn scan(text: &str) -> Vec<LineInfo> {
     #[derive(Clone, Copy, PartialEq)]
     enum Kind {
         Test,
-        AllowUnwrap,
         DropImpl,
         Signal,
     }
@@ -295,7 +241,6 @@ fn scan(text: &str) -> Vec<LineInfo> {
         let at_start = |k: Kind, regions: &[(Kind, usize)]| regions.iter().any(|(rk, _)| *rk == k);
         let started = (
             at_start(Kind::Test, &regions),
-            at_start(Kind::AllowUnwrap, &regions),
             at_start(Kind::DropImpl, &regions),
             at_start(Kind::Signal, &regions),
         );
@@ -305,11 +250,6 @@ fn scan(text: &str) -> Vec<LineInfo> {
         // `#[cfg(all(test, loom))]` alike.
         if (text.contains("#[cfg(") && text.contains("test")) || text.contains("#[test]") {
             pending.push(Kind::Test);
-        }
-        if text.contains("#[allow(clippy::unwrap_used")
-            || text.contains("#[allow(clippy::expect_used")
-        {
-            pending.push(Kind::AllowUnwrap);
         }
         if text.contains("impl") && text.contains(" Drop for ") {
             pending.push(Kind::DropImpl);
@@ -341,7 +281,6 @@ fn scan(text: &str) -> Vec<LineInfo> {
 
         let ended = (
             at_start(Kind::Test, &regions),
-            at_start(Kind::AllowUnwrap, &regions),
             at_start(Kind::DropImpl, &regions),
             at_start(Kind::Signal, &regions),
         );
@@ -355,9 +294,8 @@ fn scan(text: &str) -> Vec<LineInfo> {
             end_depth: depth,
             text,
             in_test: started.0 || ended.0,
-            in_allow_unwrap: started.1 || ended.1,
-            in_drop: started.2 || ended.2,
-            in_signal: started.3 || ended.3,
+            in_drop: started.1 || ended.1,
+            in_signal: started.2 || ended.2,
             allow,
         });
     }
@@ -509,7 +447,7 @@ fn parse_pragma(comment: &str) -> Option<Vec<String>> {
 }
 
 // ---------------------------------------------------------------------
-// S001 / S007 / S008 — guard-window checks
+// S001 / S008 — guard-window checks
 // ---------------------------------------------------------------------
 
 /// Does `text` acquire a guard? Returns the matched acquisition token.
@@ -567,7 +505,8 @@ fn check_guard_windows(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         };
         // A `.lock()` on a chain continuation line still binds the guard
-        // if the statement started with a `let` a few lines up.
+        // if the statement started with a `let` a few lines up. `let _`
+        // binds nothing: the guard is a temporary of that statement.
         let mut binding = let_binding(&line.text);
         let mut binding_line = i;
         if binding.is_none() {
@@ -582,21 +521,7 @@ fn check_guard_windows(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
                 }
             }
         }
-
-        // `let _ = x.lock()` drops the guard before the next statement.
-        if binding == Some("_") {
-            ctx.emit(
-                out,
-                "CMR-S007",
-                Severity::Warning,
-                i,
-                format!(
-                    "`let _ = …{acq})` drops the guard immediately — the critical \
-                     section is empty; bind it to a name or drop it explicitly"
-                ),
-            );
-            continue;
-        }
+        let binding = binding.filter(|name| *name != "_");
 
         // The guard's live window: a named binding lives to the end of
         // its block; an unbound chain lives to the end of the statement.
@@ -671,72 +596,6 @@ fn check_guard_windows(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
 }
 
 // ---------------------------------------------------------------------
-// S002 / S006 — unwrap discipline
-// ---------------------------------------------------------------------
-
-fn check_unwrap_expect(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
-    let lines = ctx.lines;
-    for i in 0..lines.len() {
-        let line = &lines[i];
-        if line.in_test || line.in_allow_unwrap {
-            continue;
-        }
-        // Join with the next line so rustfmt-split chains
-        // (`.lock()\n.unwrap()`) still match — but a match living wholly
-        // in the next line is that line's own finding, not this one's.
-        let next_text = lines
-            .get(i + 1)
-            .filter(|n| !n.in_test)
-            .map(|n| n.text.trim_start().to_string())
-            .unwrap_or_default();
-        let joined = format!("{}{next_text}", line.text);
-        let lock_unwrap = [".lock().unwrap()", ".read().unwrap()", ".write().unwrap()"]
-            .iter()
-            .find(|p| line.text.contains(*p) || (joined.contains(*p) && !next_text.contains(*p)));
-        if let Some(pat) = lock_unwrap {
-            ctx.emit(
-                out,
-                "CMR-S006",
-                Severity::Warning,
-                i,
-                format!(
-                    "`{pat}` propagates lock poisoning as a panic; the workspace \
-                     convention is recovery — use \
-                     `.unwrap_or_else(std::sync::PoisonError::into_inner)` or handle \
-                     the Err"
-                ),
-            );
-            continue;
-        }
-        if !ctx.denies_unwrap {
-            continue;
-        }
-        if line.text.contains(".unwrap()") {
-            ctx.emit(
-                out,
-                "CMR-S002",
-                Severity::Warning,
-                i,
-                "`.unwrap()` outside `#[cfg(test)]` in a crate that denies \
-                 `clippy::unwrap_used`; return the error or document the invariant \
-                 with `.expect(…)`"
-                    .to_string(),
-            );
-        } else if line.text.contains(".expect(") {
-            ctx.emit(
-                out,
-                "CMR-S002",
-                Severity::Note,
-                i,
-                "`.expect(…)` outside `#[cfg(test)]`; fine when the message states \
-                 an invariant, but prefer returning the error on fallible paths"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // S003 / S004 — restricted regions
 // ---------------------------------------------------------------------
 
@@ -778,49 +637,6 @@ fn check_regions(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
                     );
                     break;
                 }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// S005 — raw primitives where tracked wrappers are mandated
-// ---------------------------------------------------------------------
-
-fn check_untracked(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
-    if !ctx.mandated {
-        return;
-    }
-    for (i, line) in ctx.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for raw in ["Mutex::new(", "RwLock::new(", "Condvar::new("] {
-            let mut from = 0usize;
-            while let Some(pos) = line.text[from..].find(raw) {
-                let abs = from + pos;
-                let preceded_by_ident = abs > 0
-                    && line.text[..abs]
-                        .chars()
-                        .next_back()
-                        .is_some_and(|c| c.is_alphanumeric() || c == '_');
-                if !preceded_by_ident {
-                    ctx.emit(
-                        out,
-                        "CMR-S005",
-                        Severity::Warning,
-                        i,
-                        format!(
-                            "raw `{}…)` in a file where the tracked wrappers are \
-                             mandated; use `cmr_sync::Tracked{}` so lockcheck sees \
-                             this lock",
-                            raw.trim_end_matches('('),
-                            raw.trim_end_matches("::new(")
-                        ),
-                    );
-                    break;
-                }
-                from = abs + raw.len();
             }
         }
     }
@@ -906,61 +722,14 @@ fn f(rx: &std::sync::Mutex<std::sync::mpsc::Receiver<u32>>) {
     }
 
     #[test]
-    fn s002_unwrap_warning_expect_note_in_deny_crate() {
-        let lib = "#![deny(clippy::unwrap_used)]\npub mod a;\n";
+    fn s001_let_underscore_chain_holds_guard_for_the_statement() {
         let src = "
-pub fn f(v: Option<u32>) -> u32 {
-    v.unwrap()
-}
-pub fn g(v: Option<u32>) -> u32 {
-    v.expect(\"caller guarantees Some\")
+fn f(rx: &std::sync::Mutex<std::sync::mpsc::Receiver<u32>>) {
+    let _ = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner).recv();
 }
 ";
-        let files = vec![
-            SourceFile {
-                path: "crates/x/src/lib.rs".into(),
-                text: lib.into(),
-            },
-            SourceFile {
-                path: "crates/x/src/a.rs".into(),
-                text: src.into(),
-            },
-        ];
-        let mut out = Vec::new();
-        check(&files, &mut out);
-        let s002: Vec<_> = out.iter().filter(|d| d.code == "CMR-S002").collect();
-        assert_eq!(s002.len(), 2, "{out:?}");
-        assert!(s002.iter().any(|d| d.severity == Severity::Warning));
-        assert!(s002.iter().any(|d| d.severity == Severity::Note));
-    }
-
-    #[test]
-    fn s002_silent_without_deny_and_in_tests() {
-        let lib = "pub mod a;\n";
-        let src = "
-pub fn f(v: Option<u32>) -> u32 { v.unwrap() }
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { Some(1).unwrap(); }
-}
-";
-        let files = vec![
-            SourceFile {
-                path: "crates/x/src/lib.rs".into(),
-                text: lib.into(),
-            },
-            SourceFile {
-                path: "crates/x/src/a.rs".into(),
-                text: src.into(),
-            },
-        ];
-        let mut out = Vec::new();
-        check(&files, &mut out);
-        assert!(
-            !out.iter().any(|d| d.code == "CMR-S002"),
-            "no deny, no finding: {out:?}"
-        );
+        let diags = run("crates/x/src/a.rs", src);
+        assert!(codes(&diags).contains(&"CMR-S001"), "{diags:?}");
     }
 
     #[test]
@@ -1002,57 +771,6 @@ impl Drop for G {
     }
 
     #[test]
-    fn s005_raw_mutex_in_mandated_file_only() {
-        let src = "
-pub fn build() -> std::sync::Mutex<u32> {
-    std::sync::Mutex::new(0)
-}
-";
-        let mandated = run("crates/engine/src/pool.rs", src);
-        assert!(codes(&mandated).contains(&"CMR-S005"), "{mandated:?}");
-        let free = run("crates/x/src/a.rs", src);
-        assert!(!codes(&free).contains(&"CMR-S005"), "{free:?}");
-    }
-
-    #[test]
-    fn s005_tracked_wrapper_does_not_match() {
-        let src = "
-pub fn build() -> cmr_sync::TrackedMutex<u32> {
-    cmr_sync::TrackedMutex::new(\"x\", 0)
-}
-";
-        let diags = run("crates/engine/src/pool.rs", src);
-        assert!(!codes(&diags).contains(&"CMR-S005"), "{diags:?}");
-    }
-
-    #[test]
-    fn s006_lock_unwrap_even_across_lines() {
-        let src = "
-fn f(m: &std::sync::Mutex<u32>) -> u32 {
-    let a = *m.lock().unwrap();
-    let b = *m
-        .lock()
-        .unwrap();
-    a + b
-}
-";
-        let diags = run("crates/x/src/a.rs", src);
-        let s006: Vec<_> = diags.iter().filter(|d| d.code == "CMR-S006").collect();
-        assert_eq!(s006.len(), 2, "{diags:?}");
-    }
-
-    #[test]
-    fn s007_discarded_guard() {
-        let src = "
-fn f(m: &std::sync::Mutex<u32>) {
-    let _ = m.lock();
-}
-";
-        let diags = run("crates/x/src/a.rs", src);
-        assert!(codes(&diags).contains(&"CMR-S007"), "{diags:?}");
-    }
-
-    #[test]
     fn s008_sleep_under_guard() {
         let src = "
 fn f(m: &std::sync::Mutex<u32>) {
@@ -1068,12 +786,13 @@ fn f(m: &std::sync::Mutex<u32>) {
     #[test]
     fn strings_and_comments_do_not_trip_checks() {
         let src = "
-fn f() -> &'static str {
-    // this comment mentions .unwrap() and .send( and Mutex::new(
-    \"a string with .unwrap() and .recv( inside\"
+fn f(m: &std::sync::Mutex<u32>) -> &'static str {
+    let _g = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    // this comment mentions .send( and thread::sleep
+    \"a string with .recv( and write!( inside\"
 }
 ";
-        let diags = run("crates/engine/src/pool.rs", src);
+        let diags = run("crates/x/src/a.rs", src);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -1083,12 +802,13 @@ fn f() -> &'static str {
 #[cfg(all(test, loom))]
 mod loom_model {
     pub fn f(m: &std::sync::Mutex<u32>) {
-        let _ = m.lock();
-        std::sync::Mutex::new(7);
+        let g = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        drop(g);
     }
 }
 ";
-        let diags = run("crates/engine/src/pool.rs", src);
+        let diags = run("crates/x/src/a.rs", src);
         assert!(diags.is_empty(), "{diags:?}");
     }
 }

@@ -351,12 +351,6 @@ pub fn registry() -> &'static [CheckInfo] {
             summary: "a Mutex/RwLock guard is held across a channel send/recv or file/socket I/O",
         },
         CheckInfo {
-            code: "CMR-S002",
-            name: "source-unwrap-in-deny-crate",
-            summary:
-                "unwrap()/expect() outside #[cfg(test)] in a crate that denies clippy::unwrap_used",
-        },
-        CheckInfo {
             code: "CMR-S003",
             name: "source-alloc-in-signal-handler",
             summary: "allocation or panic-capable call inside an extern \"C\" signal-handler body",
@@ -367,40 +361,9 @@ pub fn registry() -> &'static [CheckInfo] {
             summary: "panic-capable call inside an impl Drop body (panic-in-unwind aborts)",
         },
         CheckInfo {
-            code: "CMR-S005",
-            name: "source-untracked-lock",
-            summary: "raw std::sync primitive constructed where the tracked wrappers are mandated",
-        },
-        CheckInfo {
-            code: "CMR-S006",
-            name: "source-unwrap-on-lock",
-            summary: "lock().unwrap() propagates poisoning where the convention is recovery",
-        },
-        CheckInfo {
-            code: "CMR-S007",
-            name: "source-guard-dropped-immediately",
-            summary: "let _ = …lock() drops the guard at once, leaving an empty critical section",
-        },
-        CheckInfo {
             code: "CMR-S008",
             name: "source-sleep-under-guard",
             summary: "thread::sleep while a lock guard is live stalls every waiter",
-        },
-        CheckInfo {
-            code: "CMR-S100",
-            name: "lock-order-inversion",
-            summary:
-                "runtime (lockcheck): two lock classes acquired in opposite orders on different paths",
-        },
-        CheckInfo {
-            code: "CMR-S101",
-            name: "lock-hazard-hold",
-            summary: "runtime (lockcheck): a guard outlived the configured hazard hold threshold",
-        },
-        CheckInfo {
-            code: "CMR-S102",
-            name: "lock-recursive-class",
-            summary: "runtime (lockcheck): one thread acquired the same lock class twice",
         },
     ]
 }

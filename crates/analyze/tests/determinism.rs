@@ -92,15 +92,16 @@ fn every_emitted_source_code_is_registered() {
 }
 
 #[test]
-fn sarif_documents_at_least_six_s_codes() {
+fn sarif_documents_exactly_the_four_s_codes() {
     let s_codes: Vec<&str> = cmr_analyze::registry()
         .iter()
         .map(|c| c.code)
         .filter(|c| c.starts_with("CMR-S"))
         .collect();
-    assert!(
-        s_codes.len() >= 6,
-        "expected >= 6 documented CMR-S codes, got {s_codes:?}"
+    assert_eq!(
+        s_codes,
+        ["CMR-S001", "CMR-S003", "CMR-S004", "CMR-S008"],
+        "the registry's CMR-S codes changed"
     );
     let sarif = cmr_analyze::analyze_sources().to_sarif();
     for code in s_codes {

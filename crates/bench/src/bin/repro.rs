@@ -5,6 +5,8 @@
 //! cargo run -p cmr-bench --bin repro --release -- table1
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 use cmr_bench::*;
 use cmr_core::{AssociationMethod, FeatureOptions};
 use cmr_eval::{pct, Table};

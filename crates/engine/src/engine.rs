@@ -1,9 +1,6 @@
 //! The batch-extraction engine.
 
-use crate::metrics::{
-    lock_collector, EngineMetrics, MetricsCollector, MetricsSink, RecordSample,
-    COLLECTOR_LOCK_CLASS,
-};
+use crate::metrics::{lock_collector, EngineMetrics, MetricsCollector, MetricsSink, RecordSample};
 use crate::pool::{panic_message, run_ordered, PoolConfig};
 use crate::retry::{is_transient, AttemptRecord, QuarantineEntry, QuarantineFile, RetryPolicy};
 use crate::watchdog::Watchdog;
@@ -11,12 +8,11 @@ use cmr_core::{
     AssociationMethod, BudgetExceeded, ExtractBudget, ExtractedRecord, PatternSet, Pipeline, Schema,
 };
 use cmr_ontology::Ontology;
-use cmr_sync::TrackedMutex;
 use cmr_text::Record;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -248,10 +244,7 @@ impl Engine {
                 ..EngineMetrics::default()
             };
         }
-        let collector = Arc::new(TrackedMutex::new(
-            COLLECTOR_LOCK_CLASS,
-            MetricsCollector::default(),
-        ));
+        let collector = Arc::new(Mutex::new(MetricsCollector::default()));
         // One pool-wide parse-structure cache: each worker keeps its
         // lock-free local cache as a fast path and falls back to this
         // lock-striped map, so a sentence shape is link-parsed once per
@@ -343,8 +336,11 @@ impl Engine {
         }
 
         let wall_nanos = start.elapsed().as_nanos() as u64;
-        let collector = lock_collector(&collector);
-        let mut metrics = EngineMetrics::from_collector(&collector, jobs, wall_nanos);
+        // The collector guard is a temporary of this statement, released
+        // before `stats()` below takes the cache stripes: the two locks
+        // are never held together.
+        let mut metrics =
+            EngineMetrics::from_collector(&lock_collector(&collector), jobs, wall_nanos);
         metrics.lint_warnings = lint.warnings;
         metrics.channel_wait_nanos = pool_stats.channel_wait_nanos;
         metrics.reorder_buffer_high_water = pool_stats.reorder_high_water;

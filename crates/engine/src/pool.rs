@@ -34,13 +34,10 @@
 //!   remaining queued records through `on_abort` without processing them,
 //!   so every fed index still produces exactly one output.
 
-use cmr_sync::{TrackedCondvar, TrackedMutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::Arc;
-#[cfg(test)]
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Steady-state records per channel send when the caller does not choose.
@@ -82,8 +79,8 @@ pub(crate) struct PoolStats {
 /// How far the consumer has emitted: the next index to emit, or
 /// `usize::MAX` once the consumer is gone.
 struct EmitWindow {
-    next_emit: TrackedMutex<usize>,
-    advanced: TrackedCondvar,
+    next_emit: Mutex<usize>,
+    advanced: Condvar,
 }
 
 impl EmitWindow {
@@ -158,7 +155,7 @@ where
     let wait_nanos = AtomicU64::new(0);
     let chunks_sent = AtomicU64::new(0);
     let (in_tx, in_rx) = sync_channel::<Vec<(usize, In)>>(in_bound);
-    let in_rx = Arc::new(TrackedMutex::new("engine.pool_receiver", in_rx));
+    let in_rx = Arc::new(Mutex::new(in_rx));
     let (out_tx, out_rx) = sync_channel::<Vec<(usize, Result<Out, E>)>>(out_bound);
 
     // The ring holds what the channels can have in flight (every chunk
@@ -170,8 +167,8 @@ where
     let ring_cap = ((in_bound + out_bound + cfg.jobs + 3) * max_chunk).next_power_of_two();
     let ring_mask = ring_cap - 1;
     let window = EmitWindow {
-        next_emit: TrackedMutex::new("engine.pool_emit_window", 0),
-        advanced: TrackedCondvar::new(),
+        next_emit: Mutex::new(0),
+        advanced: Condvar::new(),
     };
 
     let mut high_water = 0u64;

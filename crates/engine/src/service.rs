@@ -26,15 +26,12 @@
 use crate::engine::{
     extract_with_retry, startup_lint, Engine, EngineConfig, EngineError, WorkerCtx,
 };
-use crate::metrics::{
-    lock_collector, EngineMetrics, MetricsCollector, MetricsSink, COLLECTOR_LOCK_CLASS,
-};
+use crate::metrics::{lock_collector, EngineMetrics, MetricsCollector, MetricsSink};
 use crate::watchdog::Watchdog;
 use cmr_core::{ExtractedRecord, Pipeline, Schema, SharedParseCache};
 use cmr_ontology::Ontology;
-use cmr_sync::TrackedMutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,9 +54,9 @@ pub struct ServiceHandle {
     schema: Arc<Schema>,
     ontology: Arc<Ontology>,
     parse_cache: SharedParseCache,
-    collector: Arc<TrackedMutex<MetricsCollector>>,
+    collector: Arc<Mutex<MetricsCollector>>,
     watchdog: Option<Arc<Watchdog>>,
-    watchdog_thread: TrackedMutex<Option<JoinHandle<()>>>,
+    watchdog_thread: Mutex<Option<JoinHandle<()>>>,
     watchdog_stopped: AtomicBool,
     lint_warnings: u64,
     started: Instant,
@@ -83,19 +80,13 @@ impl ServiceHandle {
         }
         let jobs = cfg.resolved_jobs();
         let watchdog = cfg.max_record_millis.map(|ms| Watchdog::new(jobs, ms));
-        let watchdog_thread = TrackedMutex::new(
-            "engine.watchdog_thread",
-            watchdog.as_ref().map(Watchdog::spawn),
-        );
+        let watchdog_thread = Mutex::new(watchdog.as_ref().map(Watchdog::spawn));
         Ok(Arc::new(ServiceHandle {
             cfg,
             schema: schema.into(),
             ontology: ontology.into(),
             parse_cache: SharedParseCache::new(),
-            collector: Arc::new(TrackedMutex::new(
-                COLLECTOR_LOCK_CLASS,
-                MetricsCollector::default(),
-            )),
+            collector: Arc::new(Mutex::new(MetricsCollector::default())),
             watchdog,
             watchdog_thread,
             watchdog_stopped: AtomicBool::new(false),
@@ -166,9 +157,9 @@ impl ServiceHandle {
     /// thus `records_per_sec`) covers the whole uptime, idle included —
     /// it is a service-lifetime rate, not a batch throughput.
     pub fn metrics(&self) -> EngineMetrics {
-        let collector = lock_collector(&self.collector);
+        // The guard is released before `stats()` takes the cache stripes.
         let mut m = EngineMetrics::from_collector(
-            &collector,
+            &lock_collector(&self.collector),
             self.jobs(),
             self.started.elapsed().as_nanos() as u64,
         );
@@ -241,9 +232,7 @@ impl ServiceWorker {
     }
 }
 
-fn lock_thread(
-    slot: &TrackedMutex<Option<JoinHandle<()>>>,
-) -> cmr_sync::TrackedMutexGuard<'_, Option<JoinHandle<()>>> {
+fn lock_thread(slot: &Mutex<Option<JoinHandle<()>>>) -> MutexGuard<'_, Option<JoinHandle<()>>> {
     slot.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }

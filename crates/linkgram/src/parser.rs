@@ -27,11 +27,10 @@ use crate::connector::Connector;
 use crate::dict::{Dictionary, WordShape};
 use crate::linkage::{Link, Linkage};
 use cmr_postag::{PosTagger, TaggedToken};
-use cmr_sync::{TrackedMutex, TrackedMutexGuard};
 use cmr_text::{tokenize, Sym};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Per-link length penalty: breaks cost ties toward close attachment
 /// without overriding whole-number disjunct costs.
@@ -216,7 +215,7 @@ pub struct SharedParseCache {
 
 #[derive(Debug)]
 struct SharedShards {
-    shards: Box<[TrackedMutex<ShapeCache>]>,
+    shards: Box<[Mutex<ShapeCache>]>,
     /// `shards.len() - 1`; the stripe count is always a power of two.
     mask: u64,
     hits: AtomicU64,
@@ -270,9 +269,7 @@ impl SharedParseCache {
         SharedParseCache {
             inner: Arc::new(SharedShards {
                 shards: (0..n)
-                    .map(|_| {
-                        TrackedMutex::new("linkgram.parse_shard", ShapeCache::with_limit(per_shard))
-                    })
+                    .map(|_| Mutex::new(ShapeCache::with_limit(per_shard)))
                     .collect(),
                 mask: (n - 1) as u64,
                 hits: AtomicU64::new(0),
@@ -286,7 +283,7 @@ impl SharedParseCache {
     /// of the signature hash: hashbrown derives bucket indexes from the
     /// low bits and its control tag from the top seven, so neither loses
     /// distribution inside a shard's map.
-    fn shard_for(&self, sig: &[Sym]) -> &TrackedMutex<ShapeCache> {
+    fn shard_for(&self, sig: &[Sym]) -> &Mutex<ShapeCache> {
         use std::hash::BuildHasher;
         let h = FxBuild::default().hash_one(sig);
         &self.inner.shards[((h >> 32) & self.inner.mask) as usize]
@@ -297,10 +294,7 @@ impl SharedParseCache {
     /// data, valid at every unlock point, so a worker that panicked
     /// mid-extraction cannot invalidate the cache for the rest of the
     /// pool.
-    fn lock_shard<'a>(
-        &'a self,
-        shard: &'a TrackedMutex<ShapeCache>,
-    ) -> TrackedMutexGuard<'a, ShapeCache> {
+    fn lock_shard<'a>(&'a self, shard: &'a Mutex<ShapeCache>) -> MutexGuard<'a, ShapeCache> {
         match shard.try_lock() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::Poisoned(poison)) => poison.into_inner(),
@@ -1585,8 +1579,7 @@ mod tests {
         // A worker unwinding mid-extraction with a stripe guard in hand
         // poisons that stripe's mutex. `lock_shard` recovers (the map is
         // plain data, valid at every unlock point), so the surviving
-        // workers keep reading and writing the same stripe — and in
-        // lockcheck builds the recovery is not itself a violation.
+        // workers keep reading and writing the same stripe.
         let shared = SharedParseCache::with_shards(64, 1); // one stripe: the poisoned one
         let sig: Arc<[Sym]> = Arc::from(vec![cmr_text::intern("\u{1}poison-test")].as_slice());
 
@@ -1609,15 +1602,6 @@ mod tests {
         let mut parser = LinkParser::new();
         parser.set_shared_cache(shared.clone());
         assert!(parser.parse_sentence("Blood pressure is 144/90.").is_some());
-
-        #[cfg(feature = "lockcheck")]
-        {
-            cmr_sync::lockcheck::set_mode(cmr_sync::lockcheck::Mode::Record);
-            assert!(
-                cmr_sync::lockcheck::take_violations().is_empty(),
-                "poison recovery must be silent at the S-layer"
-            );
-        }
     }
 
     #[test]

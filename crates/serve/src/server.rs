@@ -29,14 +29,13 @@ use cmr_engine::{
     startup_lint_summary, EngineConfig, EngineError, LatencyKind, ServiceHandle, ServiceWorker,
 };
 use cmr_ontology::Ontology;
-use cmr_sync::{TrackedCondvar, TrackedMutex};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io;
 use std::io::Read as _;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Accept-loop tick: the pause when a pass over the listener and the
@@ -143,7 +142,7 @@ struct HealthReport {
 struct Shared {
     service: Arc<ServiceHandle>,
     queue: ConnQueue,
-    idle_return: TrackedMutex<Vec<Conn>>,
+    idle_return: Mutex<Vec<Conn>>,
     shutdown: Arc<AtomicBool>,
     cfg: ServeConfig,
     /// All responses written, any endpoint or status (including `429`).
@@ -184,7 +183,7 @@ impl Server {
             shared: Arc::new(Shared {
                 service,
                 queue,
-                idle_return: TrackedMutex::new("serve.idle_return", Vec::new()),
+                idle_return: Mutex::new(Vec::new()),
                 shutdown,
                 cfg,
                 requests: AtomicU64::new(0),
@@ -603,8 +602,8 @@ fn error_line(msg: &str) -> String {
 /// workers. `close` wakes every popper once the remaining items drain —
 /// the drain path's "finish what was admitted, take nothing new".
 struct ConnQueue {
-    state: TrackedMutex<QueueState>,
-    ready: TrackedCondvar,
+    state: Mutex<QueueState>,
+    ready: Condvar,
     cap: usize,
 }
 
@@ -616,14 +615,11 @@ struct QueueState {
 impl ConnQueue {
     fn new(cap: usize) -> ConnQueue {
         ConnQueue {
-            state: TrackedMutex::new(
-                "serve.conn_queue",
-                QueueState {
-                    items: VecDeque::with_capacity(cap),
-                    closed: false,
-                },
-            ),
-            ready: TrackedCondvar::new(),
+            state: Mutex::new(QueueState {
+                items: VecDeque::with_capacity(cap),
+                closed: false,
+            }),
+            ready: Condvar::new(),
             cap,
         }
     }
