@@ -14,6 +14,14 @@ fn bench_parser(c: &mut Criterion) {
     let long =
         "Blood pressure is 144/90, pulse of 84, temperature of 98.3, and weight of 154 pounds.";
     let fragment = "Blood pressure: 144/90.";
+    // The noisy benchmark pool's slowest sentence: a dropped period merges
+    // two sentences into 33 words (with the wall).
+    let noisy = "Her breast history is negative for any previous biopsies or masses \
+                 GYN History  Menarche at age 1l, gravida 3, para 3, last menstrual \
+                 period about a year ago.";
+    // Every word keeps disjuncts under plain pruning, but no linkage exists:
+    // power pruning (or, before it, the whole search) proves the failure.
+    let no_linkage = "Os-cal, ibuprofen, and Protonix.";
 
     // Cold = the O(n³) region parse; warm = the structure-cache hit that
     // corpus workloads see after the first occurrence of a sentence shape.
@@ -27,6 +35,18 @@ fn bench_parser(c: &mut Criterion) {
         b.iter(|| {
             parser.clear_cache();
             black_box(parser.parse_sentence(black_box(long)))
+        })
+    });
+    g.bench_function("noisy_33_words_cold", |b| {
+        b.iter(|| {
+            parser.clear_cache();
+            black_box(parser.parse_sentence(black_box(noisy)))
+        })
+    });
+    g.bench_function("no_linkage_cold", |b| {
+        b.iter(|| {
+            parser.clear_cache();
+            black_box(parser.parse_sentence(black_box(no_linkage)))
         })
     });
     g.bench_function("medium_8_words_warm", |b| {

@@ -31,16 +31,15 @@ fn corpus(n: usize, seed: u64) -> Vec<String> {
 }
 
 /// A single-sentence record whose link parse takes far longer than the
-/// watchdog deadlines used in these tests (~200ms uncancelled: a long
-/// coordination chain near the parser's word limit).
+/// watchdog deadlines used in these tests (~170 ms uncancelled on a 2-vCPU
+/// VM: a dropped-period merge of two sentences, like the noisy corpus's
+/// slowest, with vitals mentions so the numeric stage parses it).
 fn slow_record() -> String {
-    let mut s = String::from(
-        "Vitals:  pulse of 84 and pressure of 90 and temperature of 98 \
-         and weight of 150 and rate of 20",
-    );
-    s.push_str(" and pulse of 84 and weight of 150 and pulse of 84 and weight of 150");
-    s.push_str(".\n");
-    s
+    String::from(
+        "Vitals:  Her breast history is negative for any previous biopsies or masses \
+         GYN History  Menarche at age 1l, gravida 3, para 3, last menstrual period \
+         about a year ago, weight of 150, pulse of 84, and temperature of 98.\n",
+    )
 }
 
 /// A poison record (transient failure every attempt) is retried, then

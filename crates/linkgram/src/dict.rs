@@ -38,7 +38,8 @@
 //! | `MX` | head → coordinator ("and", ",")           |
 //! | `N`  | "not" after auxiliary                     |
 
-use crate::expr::{expand, parse_expr, Disjunct};
+use crate::connector::{Connector, ConnectorTable};
+use crate::expr::{expand, parse_expr, Disjunct, Expr};
 use cmr_postag::{Tag, TaggedToken};
 use cmr_text::{intern, Sym};
 use std::collections::HashMap;
@@ -298,56 +299,84 @@ impl std::fmt::Display for DictError {
 impl std::error::Error for DictError {}
 
 /// A class's disjuncts in ready-to-parse form, computed once per
-/// dictionary instead of once per parse:
-///
-/// * connector lists reversed to the parser's farthest-first order,
-/// * sorted by (left, right) shape then cost, duplicates collapsed to the
-///   cheapest (exactly what the parser's old per-parse prune did),
-/// * indexed by the interned base of the farthest (head) connector on each
-///   side, so the region split's candidate scan is a hash probe on a `u32`.
+/// dictionary instead of once per parse: connector lists as connector ids
+/// (see [`ConnectorTable`]), reversed to the parser's farthest-first order
+/// and stored once per distinct list; disjuncts sorted by (left, right)
+/// lists then cost, duplicates collapsed to the cheapest. Ids follow
+/// connector order, so this is the order of the connector lists
+/// themselves.
 #[derive(Debug, Clone)]
 pub(crate) struct WordShape {
-    pub(crate) disjuncts: Vec<Disjunct>,
-    pub(crate) by_left_head: HashMap<Sym, Vec<u16>>,
-    pub(crate) by_right_head: HashMap<Sym, Vec<u16>>,
+    pub(crate) disjuncts: Vec<ShapeDisjunct>,
+    /// Distinct connector-id lists, farthest first; `lists[0]` is empty.
+    lists: Vec<Box<[u16]>>,
+}
+
+/// One disjunct of a [`WordShape`]: its two connector lists as indexes
+/// into the shape's list table, their lengths, and its cost.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShapeDisjunct {
+    pub(crate) left: u16,
+    pub(crate) right: u16,
+    pub(crate) left_len: u8,
+    pub(crate) right_len: u8,
+    pub(crate) cost: f64,
 }
 
 impl WordShape {
     fn build(raw: &[Disjunct]) -> WordShape {
-        let mut disjuncts: Vec<Disjunct> = raw
+        let farthest_first =
+            |cs: &[Connector]| -> Vec<u16> { cs.iter().rev().map(Connector::id).collect() };
+        let mut keyed: Vec<(Vec<u16>, Vec<u16>, f64)> = raw
             .iter()
-            .map(|d| {
-                let mut nd = d.clone();
-                nd.left.reverse();
-                nd.right.reverse();
-                nd
+            .map(|d| (farthest_first(&d.left), farthest_first(&d.right), d.cost))
+            .collect();
+        keyed.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)).then(a.2.total_cmp(&b.2)));
+        keyed.dedup_by(|b, a| a.0 == b.0 && a.1 == b.1);
+        debug_assert!(keyed.len() <= u16::MAX as usize, "shape index is u16");
+        let mut lists: Vec<Box<[u16]>> = vec![Box::new([])];
+        let mut list_ids: HashMap<Vec<u16>, u16> = HashMap::from([(Vec::new(), 0)]);
+        let mut intern = |list: Vec<u16>| -> u16 {
+            *list_ids.entry(list).or_insert_with_key(|list| {
+                lists.push(list.as_slice().into());
+                (lists.len() - 1) as u16
+            })
+        };
+        let disjuncts = keyed
+            .into_iter()
+            .map(|(left, right, cost)| ShapeDisjunct {
+                left_len: left.len() as u8,
+                right_len: right.len() as u8,
+                left: intern(left),
+                right: intern(right),
+                cost,
             })
             .collect();
-        disjuncts.sort_by(|a, b| {
-            (&a.left, &a.right)
-                .cmp(&(&b.left, &b.right))
-                .then(a.cost.total_cmp(&b.cost))
-        });
-        disjuncts.dedup_by(|b, a| a.left == b.left && a.right == b.right);
-        debug_assert!(disjuncts.len() <= u16::MAX as usize, "shape index is u16");
-        let mut by_left_head: HashMap<Sym, Vec<u16>> = HashMap::new();
-        let mut by_right_head: HashMap<Sym, Vec<u16>> = HashMap::new();
-        for (i, d) in disjuncts.iter().enumerate() {
-            if let Some(c) = d.left.first() {
-                by_left_head.entry(c.base_sym()).or_default().push(i as u16);
-            }
-            if let Some(c) = d.right.first() {
-                by_right_head
-                    .entry(c.base_sym())
-                    .or_default()
-                    .push(i as u16);
+        WordShape { disjuncts, lists }
+    }
+
+    /// Connector list `list` of this shape, farthest first.
+    pub(crate) fn list(&self, list: u16) -> &[u16] {
+        &self.lists[list as usize]
+    }
+
+    /// Number of distinct connector lists (list indexes are below it).
+    pub(crate) fn list_count(&self) -> usize {
+        self.lists.len()
+    }
+}
+
+/// Calls `f` on every connector of `expr`.
+fn visit_connectors(expr: &mut Expr, f: &mut impl FnMut(&mut Connector)) {
+    match expr {
+        Expr::Conn(c) => f(c),
+        Expr::And(parts) | Expr::Or(parts) => {
+            for part in parts {
+                visit_connectors(part, f);
             }
         }
-        WordShape {
-            disjuncts,
-            by_left_head,
-            by_right_head,
-        }
+        Expr::Opt(inner) | Expr::Cost(inner) => visit_connectors(inner, f),
+        Expr::Empty => {}
     }
 }
 
@@ -368,6 +397,8 @@ pub struct Dictionary {
     tag_ids: HashMap<Tag, (Sym, u16)>,
     /// Shape index of LEFT-WALL.
     wall_id: u16,
+    /// Match relation over the dictionary's connector ids.
+    connectors: ConnectorTable,
     /// Class key for tokens no rule covers (`"-"`).
     unknown: Sym,
 }
@@ -392,16 +423,45 @@ impl Dictionary {
     /// Builds the built-in clinical English dictionary, reporting any
     /// definition defect as a [`DictError`] instead of panicking.
     pub fn try_clinical_english() -> Result<Dictionary, DictError> {
-        let mut classes = HashMap::new();
-        let mut shapes = Vec::with_capacity(CLASS_DEFS.len());
-        let mut shape_ids: HashMap<&'static str, u16> = HashMap::new();
+        let mut exprs = Vec::with_capacity(CLASS_DEFS.len());
         for (name, text) in CLASS_DEFS {
             let expr =
                 parse_expr(text).map_err(|error| DictError::BadClass { class: name, error })?;
+            exprs.push((*name, expr));
+        }
+        // Ids in connector order, so comparing id lists orders disjuncts
+        // exactly as comparing their connector lists does. They are set on
+        // the expression trees, before expansion copies each connector
+        // into its disjuncts, so only the distinct connectors are cloned.
+        let mut distinct: Vec<Connector> = Vec::new();
+        for (_, expr) in &mut exprs {
+            visit_connectors(expr, &mut |c| {
+                if !distinct.contains(c) {
+                    distinct.push(c.clone());
+                }
+            });
+        }
+        distinct.sort();
+        debug_assert!(distinct.len() <= u16::MAX as usize, "connector id is u16");
+        for (id, c) in distinct.iter_mut().enumerate() {
+            c.set_id(id as u16);
+        }
+        for (_, expr) in &mut exprs {
+            visit_connectors(expr, &mut |c| {
+                if let Ok(id) = distinct.binary_search(c) {
+                    c.set_id(id as u16);
+                }
+            });
+        }
+        let connectors = ConnectorTable::build(distinct);
+        let mut classes = HashMap::new();
+        let mut shapes = Vec::with_capacity(CLASS_DEFS.len());
+        let mut shape_ids: HashMap<&'static str, u16> = HashMap::new();
+        for (name, expr) in exprs {
             let expanded = expand(&expr, EXPANSION_CAP);
             shape_ids.insert(name, shapes.len() as u16);
             shapes.push(WordShape::build(&expanded));
-            classes.insert(*name, expanded);
+            classes.insert(name, expanded);
         }
         let words: HashMap<&'static str, &'static str> = WORD_CLASSES.iter().copied().collect();
         let wall = classes
@@ -434,6 +494,7 @@ impl Dictionary {
             word_ids,
             tag_ids,
             wall_id,
+            connectors,
             unknown: intern("-"),
         })
     }
@@ -483,6 +544,11 @@ impl Dictionary {
     /// Parse-ready LEFT-WALL shape.
     pub(crate) fn wall_shape(&self) -> &WordShape {
         &self.shapes[self.wall_id as usize]
+    }
+
+    /// Match relation over the connector ids of this dictionary.
+    pub(crate) fn connectors(&self) -> &ConnectorTable {
+        &self.connectors
     }
 
     fn tag_class(&self, tag: Tag) -> Option<&'static str> {
@@ -608,6 +674,31 @@ mod tests {
         let d = Dictionary::clinical_english();
         let tagged = PosTagger::new().tag(&tokenize(","));
         assert!(!d.disjuncts(&tagged[0]).is_empty());
+    }
+
+    #[test]
+    fn connector_table_agrees_with_matches() {
+        let d = Dictionary::clinical_english();
+        let mut all: Vec<&Connector> = d
+            .class_names()
+            .into_iter()
+            .flat_map(|c| d.class_disjuncts(c).unwrap_or(&[]))
+            .flat_map(|dj| dj.left.iter().chain(&dj.right))
+            .collect();
+        all.sort();
+        all.dedup();
+        let table = d.connectors();
+        for a in all.iter().filter(|c| c.dir == crate::Dir::Right) {
+            for b in all.iter().filter(|c| c.dir == crate::Dir::Left) {
+                assert_eq!(table.links(a.id(), b.id()), a.matches(b), "{a} {b}");
+            }
+        }
+        // Equal connectors share an id; distinct ones never do.
+        for (i, a) in all.iter().enumerate() {
+            for b in &all[i + 1..] {
+                assert_ne!(a.id(), b.id(), "{a} {b}");
+            }
+        }
     }
 
     #[test]

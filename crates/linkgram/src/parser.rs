@@ -22,15 +22,23 @@
 //! is exactly the published argument. Costs are minimized instead of
 //! linkages counted: disjunct costs plus a small per-link length penalty, so
 //! the parser prefers close attachments.
+//!
+//! Before the search, [`prune`] removes the disjuncts no complete linkage
+//! can use, in two stages (plain pruning, then the original parser's power
+//! pruning). Both work on connector ids: the dictionary gives each distinct
+//! connector a dense id and precomputes its match bitset, so pruning ORs
+//! and ANDs bitsets, and the search's candidate scans and link tests are
+//! table lookups. Pruning is sound, so it changes which regions the search
+//! visits but never the linkage, the cost or the failure reason.
 
-use crate::connector::Connector;
+use crate::connector::{set_bit, ConnectorTable};
 use crate::dict::{Dictionary, WordShape};
 use crate::linkage::{Link, Linkage};
 use cmr_postag::{PosTagger, TaggedToken};
 use cmr_text::{tokenize, Sym};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Per-link length penalty: breaks cost ties toward close attachment
 /// without overriding whole-number disjunct costs.
@@ -58,15 +66,17 @@ const PARSE_CACHE_CAP: usize = 4096;
 /// cache first, and only consults (and feeds) the shared map on a local
 /// miss — so a sentence shape is parsed once per *pool*, not once per
 /// worker, at the cost of one mutex lock per locally-unseen shape.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LinkParser {
-    dict: Dictionary,
+    /// The process-wide clinical dictionary, compiled once and shared by
+    /// every parser (see [`clinical_dictionary`]).
+    dict: Arc<Dictionary>,
     cache: std::cell::RefCell<ShapeCache>,
     shared: Option<SharedParseCache>,
     stats: std::cell::Cell<ParserStats>,
     /// Reused buffer for building cache signatures (interned class keys).
     sig_scratch: std::cell::RefCell<Vec<Sym>>,
-    /// Reused memo/arena/bitmap storage for uncached parses.
+    /// Reused memo/arena/pruning storage for uncached parses.
     scratch: std::cell::RefCell<ParseScratch>,
     /// Cooperative-cancellation flag: when set, the region search bails
     /// out with [`ParseFailure::Cancelled`] at its next fuel check.
@@ -381,11 +391,26 @@ struct CachedParse {
     cost: f64,
 }
 
+/// The built-in clinical-English dictionary, compiled on first use and
+/// shared by every parser of the process: extractors, lint passes and
+/// service workers each build parsers, and each compile is set-up time
+/// and memory the process would otherwise pay again.
+fn clinical_dictionary() -> Arc<Dictionary> {
+    static DICT: OnceLock<Arc<Dictionary>> = OnceLock::new();
+    Arc::clone(DICT.get_or_init(|| Arc::new(Dictionary::clinical_english())))
+}
+
+impl Default for LinkParser {
+    fn default() -> Self {
+        LinkParser::new()
+    }
+}
+
 impl LinkParser {
     /// Creates a parser over the built-in clinical-English dictionary.
     pub fn new() -> LinkParser {
         LinkParser {
-            dict: Dictionary::clinical_english(),
+            dict: clinical_dictionary(),
             cache: std::cell::RefCell::new(ShapeCache::default()),
             shared: None,
             stats: std::cell::Cell::new(ParserStats::default()),
@@ -570,9 +595,10 @@ impl LinkParser {
             }
         }
         // Word 0 is the LEFT-WALL; words 1..=n are the sentence tokens.
-        // Shapes (normalized, sorted, deduped, head-indexed disjunct tables)
-        // are compiled once per dictionary; the only per-parse disjunct
-        // state is the live bitmap maintained by `prune`.
+        // Shapes (normalized, sorted, deduped disjunct tables over
+        // connector ids) are compiled once per dictionary; the per-parse
+        // disjunct state is the live lists `prune` leaves and the
+        // candidate lists built from them.
         let mut shapes: Vec<&WordShape> = Vec::with_capacity(tagged.len() + 1);
         shapes.push(self.dict.wall_shape());
         for t in tagged {
@@ -583,16 +609,25 @@ impl LinkParser {
             }
         }
         let n = shapes.len();
+        let table = self.dict.connectors();
         let mut scratch = self.scratch.borrow_mut();
-        let ParseScratch { memo, arena, live } = &mut *scratch;
-        if !prune(&shapes, live) {
-            return Err(ParseFailure::NoDisjuncts);
-        }
+        let ParseScratch {
+            memo,
+            arena,
+            live,
+            offers,
+            verdicts,
+            cands,
+        } = &mut *scratch;
+        prune(&shapes, table, live, offers, verdicts)?;
+        cands.build(&shapes, table, live);
+        // Already empty, unless an earlier parse unwound mid-search.
         memo.clear();
         arena.clear();
         let mut ctx = Ctx {
             shapes: &shapes,
-            live: &*live,
+            table,
+            cands: &*cands,
             memo,
             arena,
             cancel: self.cancel.as_deref(),
@@ -602,8 +637,10 @@ impl LinkParser {
         // Top level: the wall's right connectors must cover the sentence;
         // the virtual right boundary at index n has no connectors.
         let mut best: Option<Sol> = None;
-        for (di, d) in shapes[0].disjuncts.iter().enumerate() {
-            if !ctx.live[0][di] || !d.left.is_empty() {
+        for &di in &live[0] {
+            let di = di as usize;
+            let d = &shapes[0].disjuncts[di];
+            if d.left_len != 0 {
                 continue;
             }
             let lref = ctx.list(0, di, Side::Right, 0);
@@ -617,13 +654,18 @@ impl LinkParser {
                 }
             }
         }
-        if ctx.cancelled {
+        let cancelled = ctx.cancelled;
+        let links = best.map(|sol| {
+            let mut links: Vec<Link> = Vec::new();
+            flatten(ctx.arena, ctx.shapes, table, sol.links, &mut links);
+            links.sort_by_key(|l| (l.left, l.right));
+            (links, sol.cost)
+        });
+        scratch.release();
+        if cancelled {
             return Err(ParseFailure::Cancelled);
         }
-        let sol = best.ok_or(ParseFailure::NoLinkage)?;
-        let mut links: Vec<Link> = Vec::new();
-        flatten(ctx.arena, ctx.shapes, sol.links, &mut links);
-        links.sort_by_key(|l| (l.left, l.right));
+        let (links, cost) = links.ok_or(ParseFailure::NoLinkage)?;
         let mut words = vec!["LEFT-WALL".to_string()];
         words.extend(tagged.iter().map(|t| t.token.text.clone()));
         let token_map: Vec<Option<usize>> = std::iter::once(None)
@@ -633,7 +675,7 @@ impl LinkParser {
             words,
             token_map,
             links: Arc::new(links),
-            cost: sol.cost,
+            cost,
         })
     }
 
@@ -758,14 +800,44 @@ fn better(best: &Option<Sol>, cost: f64) -> bool {
     best.as_ref().map(|b| cost < b.cost).unwrap_or(true)
 }
 
-/// Capacity + iterative pruning over the precompiled shapes, recorded in a
-/// reusable live-disjunct bitmap (the shapes themselves are shared and
-/// never copied). Capacity first: a word at position i has only i words to
-/// its left and (n-1-i) to its right; disjuncts demanding more can never
-/// complete. Then to fixpoint: kill any disjunct with a connector that no
-/// live disjunct on the proper side could ever match. Returns `false` when
-/// some word has no live disjunct left.
-fn prune(shapes: &[&WordShape], live: &mut Vec<Vec<bool>>) -> bool {
+/// Prunes disjuncts that can appear in no complete linkage, leaving each
+/// word's survivors as an ascending list of disjunct indexes in `live` (the
+/// shapes themselves are shared and never copied). Both stages work on connector-id bitsets
+/// (see [`ConnectorTable`]): a connector survives a pass when its partner
+/// row intersects the ids the other words offer where a partner could sit.
+///
+/// 1. **Capacity, then plain pruning to a fixpoint.** A word at position i
+///    has only i words to its left and (n-1-i) to its right, so disjuncts
+///    demanding more can never complete. Then a disjunct dies when one of
+///    its connectors has no partner among the live disjuncts on its side.
+///    A word left with no live disjunct fails with
+///    [`ParseFailure::NoDisjuncts`].
+/// 2. **Power pruning to a fixpoint** (Sleator & Temperley). In the
+///    farthest-first lists a connector is *deep* when it is not the head,
+///    and *open* when it is not last or is multi: it can still link a word
+///    nearer than its partner. A connector needs a partner that satisfies
+///    three rules: two deep connectors never link (the two heads' links
+///    would cross); adjacent words link only through the last connector of
+///    both lists (any later connector would need a nearer word); and
+///    non-adjacent words link only if one end is open (the words between
+///    must attach to an end). A multi connector is kept alive by its
+///    nearest link alone, and that link obeys the rules as if it were not
+///    multi, so the connector under test counts as open only when it is
+///    not last; its partners count as open by the full definition. A word
+///    emptied here fails with [`ParseFailure::NoLinkage`]: the search would
+///    find none.
+///
+/// The stages stay separate so that failure reasons match plain pruning.
+/// Both are sound: they only remove disjuncts no complete linkage uses, so
+/// every region of a complete derivation sees the same candidates in the
+/// same order, and the search returns the same linkage and cost.
+fn prune(
+    shapes: &[&WordShape],
+    table: &ConnectorTable,
+    live: &mut Vec<Vec<u16>>,
+    offers: &mut Vec<u64>,
+    verdicts: &mut Vec<u8>,
+) -> Result<(), ParseFailure> {
     let n = shapes.len();
     if live.len() < n {
         live.resize_with(n, Vec::new);
@@ -773,77 +845,290 @@ fn prune(shapes: &[&WordShape], live: &mut Vec<Vec<bool>>) -> bool {
     for (i, shape) in shapes.iter().enumerate() {
         let row = &mut live[i];
         row.clear();
-        row.extend(
-            shape
-                .disjuncts
-                .iter()
-                .map(|d| d.left.len() <= i && d.right.len() <= n - 1 - i),
-        );
+        row.extend((0..shape.disjuncts.len() as u16).filter(|&di| {
+            let d = &shape.disjuncts[di as usize];
+            d.left_len as usize <= i && d.right_len as usize <= n - 1 - i
+        }));
     }
-    // Unique connectors available on each side, kept as one monotone list
-    // per direction with per-word prefix cuts: word i sees right-pointing
-    // connectors of words < i as `acc_r[..cut_r[i]]`, and left-pointing
-    // ones of words > i as `acc_l[..cut_l[i]]`. Two flat vectors replace
-    // the per-word accumulator clones of the previous implementation.
-    let mut acc_r: Vec<&Connector> = Vec::new();
-    let mut acc_l: Vec<&Connector> = Vec::new();
-    let mut cut_r: Vec<usize> = vec![0; n];
-    let mut cut_l: Vec<usize> = vec![0; n];
-    loop {
-        acc_r.clear();
-        for (i, shape) in shapes.iter().enumerate() {
-            cut_r[i] = acc_r.len();
-            for (di, d) in shape.disjuncts.iter().enumerate() {
-                if !live[i][di] {
-                    continue;
-                }
-                for c in &d.right {
-                    if !acc_r.contains(&c) {
-                        acc_r.push(c);
+    let mut offers = Offers {
+        buf: offers,
+        n,
+        stride: table.stride(),
+    };
+    for (power, failure) in [
+        (false, ParseFailure::NoDisjuncts),
+        (true, ParseFailure::NoLinkage),
+    ] {
+        loop {
+            offers.collect(shapes, table, live, verdicts);
+            let (changed, emptied) = kill_pass(shapes, table, live, &offers, power, verdicts);
+            if emptied {
+                return Err(failure);
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Verdict of one connector list in a pruning pass (see `kill_pass`).
+const UNSEEN: u8 = 0;
+const KEEP: u8 = 1;
+const KILL: u8 = 2;
+
+/// One pruning pass over the live disjuncts against `offers`; returns
+/// whether any disjunct died and whether some word lost its last one.
+/// Disjuncts of a word share their lists, so each distinct list is judged
+/// once per word, in `verdicts`.
+fn kill_pass(
+    shapes: &[&WordShape],
+    table: &ConnectorTable,
+    live: &mut [Vec<u16>],
+    offers: &Offers<'_>,
+    power: bool,
+    verdicts: &mut Vec<u8>,
+) -> (bool, bool) {
+    let n = shapes.len();
+    let mut changed = false;
+    let mut emptied = false;
+    for (i, shape) in shapes.iter().enumerate() {
+        verdicts.clear();
+        verdicts.resize(shape.list_count(), UNSEEN);
+        let mut keeps = |list: u16, side: Side| -> bool {
+            let v = &mut verdicts[list as usize];
+            if *v == UNSEEN {
+                let ids = shape.list(list);
+                let ok = if power {
+                    power_ok(table, offers, ids, side, i, n)
+                } else {
+                    let (t, word) = match side {
+                        Side::Left => (PRE_R, i),
+                        Side::Right => (SUF_L, i + 1),
+                    };
+                    ids.iter().all(|&c| offers.meets(table, c, t, word, ALL))
+                };
+                *v = if ok { KEEP } else { KILL };
+            }
+            *v == KEEP
+        };
+        let row = &mut live[i];
+        let before = row.len();
+        row.retain(|&di| {
+            let d = &shape.disjuncts[di as usize];
+            keeps(d.left, Side::Left) && keeps(d.right, Side::Right)
+        });
+        changed |= row.len() < before;
+        emptied |= row.is_empty();
+    }
+    (changed, emptied)
+}
+
+/// True when every connector of one side's list (farthest first) of a
+/// disjunct on word `i` has a partner allowed by the power-pruning rules.
+fn power_ok(
+    table: &ConnectorTable,
+    offers: &Offers<'_>,
+    list: &[u16],
+    side: Side,
+    i: usize,
+    n: usize,
+) -> bool {
+    list.iter().enumerate().all(|(k, &c)| {
+        let deep = k > 0;
+        let last = k + 1 == list.len();
+        let far = match (deep, last) {
+            (false, false) => ALL,
+            (true, false) => SHALLOW,
+            (false, true) => OPEN,
+            (true, true) => SHALLOW_OPEN,
+        };
+        let near = if deep { SINGLE } else { LAST };
+        match side {
+            Side::Right => {
+                offers.meets(table, c, SUF_L, i + 2, far)
+                    || last && i + 1 < n && offers.meets(table, c, OFFER_L, i + 1, near)
+            }
+            Side::Left => {
+                i >= 1
+                    && (offers.meets(table, c, PRE_R, i - 1, far)
+                        || last && offers.meets(table, c, OFFER_R, i - 1, near))
+            }
+        }
+    })
+}
+
+// Kinds of connector-id sets a word offers on one side, over the lists of
+// its live disjuncts: every id; ids at the head; open ids (not last, or
+// multi); open heads; ids in last position; and ids forming a whole
+// one-connector list. Only the first four are accumulated over word
+// ranges.
+const ALL: usize = 0;
+const SHALLOW: usize = 1;
+const OPEN: usize = 2;
+const SHALLOW_OPEN: usize = 3;
+const LAST: usize = 4;
+const SINGLE: usize = 5;
+const KINDS: usize = 6;
+const RANGE_KINDS: usize = 4;
+
+// Tables of `Offers`: per word, the sets its left and right lists offer;
+// `SUF_L[j]` is the union of `OFFER_L` over words >= j, and `PRE_R[j]` the
+// union of `OFFER_R` over words < j.
+const OFFER_L: usize = 0;
+const OFFER_R: usize = 1;
+const SUF_L: usize = 2;
+const PRE_R: usize = 3;
+const TABLES: usize = 4;
+
+/// The connector-id sets of one pruning pass in a reused buffer, laid out
+/// `[table][word][kind]`, `stride` words per set; every table has `n + 2`
+/// rows so the range lookups need no bounds cases.
+struct Offers<'a> {
+    buf: &'a mut Vec<u64>,
+    n: usize,
+    stride: usize,
+}
+
+impl Offers<'_> {
+    fn at(&self, table: usize, word: usize, kind: usize) -> usize {
+        ((table * (self.n + 2) + word) * KINDS + kind) * self.stride
+    }
+
+    fn set(&self, table: usize, word: usize, kind: usize) -> &[u64] {
+        let at = self.at(table, word, kind);
+        &self.buf[at..at + self.stride]
+    }
+
+    /// True when connector `c` links with some id in set
+    /// `(table, word, kind)`.
+    fn meets(&self, table: &ConnectorTable, c: u16, t: usize, word: usize, kind: usize) -> bool {
+        self.set(t, word, kind)
+            .iter()
+            .zip(table.partners(c))
+            .any(|(a, b)| a & b != 0)
+    }
+
+    /// Recomputes every set from the live disjuncts, marking each distinct
+    /// list of a word once (`seen` is scratch).
+    fn collect(
+        &mut self,
+        shapes: &[&WordShape],
+        table: &ConnectorTable,
+        live: &[Vec<u16>],
+        seen: &mut Vec<u8>,
+    ) {
+        let len = TABLES * (self.n + 2) * KINDS * self.stride;
+        self.buf.clear();
+        self.buf.resize(len, 0);
+        for (j, shape) in shapes.iter().enumerate() {
+            seen.clear();
+            seen.resize(shape.list_count(), 0);
+            for &di in &live[j] {
+                let d = &shape.disjuncts[di as usize];
+                for (list, t) in [(d.left, OFFER_L), (d.right, OFFER_R)] {
+                    if seen[list as usize] == 0 {
+                        seen[list as usize] = 1;
+                        self.mark(table, t, j, shape.list(list));
                     }
                 }
             }
         }
-        acc_l.clear();
-        for (i, shape) in shapes.iter().enumerate().rev() {
-            cut_l[i] = acc_l.len();
-            for (di, d) in shape.disjuncts.iter().enumerate() {
-                if !live[i][di] {
-                    continue;
+        let span = RANGE_KINDS * self.stride;
+        for j in (0..self.n).rev() {
+            let (dst, next, own) = (
+                self.at(SUF_L, j, 0),
+                self.at(SUF_L, j + 1, 0),
+                self.at(OFFER_L, j, 0),
+            );
+            for x in 0..span {
+                self.buf[dst + x] = self.buf[next + x] | self.buf[own + x];
+            }
+        }
+        for j in 1..=self.n {
+            let (dst, prev, own) = (
+                self.at(PRE_R, j, 0),
+                self.at(PRE_R, j - 1, 0),
+                self.at(OFFER_R, j - 1, 0),
+            );
+            for x in 0..span {
+                self.buf[dst + x] = self.buf[prev + x] | self.buf[own + x];
+            }
+        }
+    }
+
+    /// Adds one farthest-first connector list of word `j` to its sets.
+    fn mark(&mut self, table: &ConnectorTable, t: usize, j: usize, list: &[u16]) {
+        let base = self.at(t, j, 0);
+        let stride = self.stride;
+        for (k, &c) in list.iter().enumerate() {
+            let first = k == 0;
+            let last = k + 1 == list.len();
+            let open = !last || table.get(c).multi;
+            for (kind, on) in [
+                (ALL, true),
+                (SHALLOW, first),
+                (OPEN, open),
+                (SHALLOW_OPEN, first && open),
+                (LAST, last),
+                (SINGLE, first && last),
+            ] {
+                if on {
+                    let at = base + kind * stride;
+                    set_bit(&mut self.buf[at..at + stride], c);
                 }
-                for c in &d.left {
-                    if !acc_l.contains(&c) {
-                        acc_l.push(c);
+            }
+        }
+    }
+}
+
+/// The region search's candidate lists for one parse: for word `w`, side
+/// and connector id `a`, the live disjuncts of `w` whose head connector on
+/// that side links with `a`, ascending (the order the search tries them).
+/// Built from the live lists, so the search visits no dead disjunct and
+/// tests no head match.
+#[derive(Debug, Clone, Default)]
+struct Candidates {
+    /// Distinct connector ids of the dictionary.
+    ids: usize,
+    /// List `(w * 2 + side) * ids + a`; the first `2 * n * ids` are in use.
+    lists: Vec<Vec<u16>>,
+}
+
+impl Candidates {
+    fn index(&self, w: usize, side: Side, a: u16) -> usize {
+        (w * 2 + side as usize) * self.ids + a as usize
+    }
+
+    fn get(&self, w: usize, side: Side, a: u16) -> &[u16] {
+        &self.lists[self.index(w, side, a)]
+    }
+
+    fn build(&mut self, shapes: &[&WordShape], table: &ConnectorTable, live: &[Vec<u16>]) {
+        self.ids = table.len();
+        let used = shapes.len() * 2 * self.ids;
+        if self.lists.len() < used {
+            self.lists.resize_with(used, Vec::new);
+        }
+        for list in &mut self.lists[..used] {
+            list.clear();
+        }
+        for (w, shape) in shapes.iter().enumerate() {
+            for &di in &live[w] {
+                let d = &shape.disjuncts[di as usize];
+                for (side, list) in [(Side::Left, d.left), (Side::Right, d.right)] {
+                    let Some(&head) = shape.list(list).first() else {
+                        continue;
+                    };
+                    for &a in table.partner_ids(head) {
+                        let k = self.index(w, side, a);
+                        self.lists[k].push(di);
                     }
                 }
             }
         }
-        let mut changed = false;
-        for (i, shape) in shapes.iter().enumerate() {
-            let right_avail = &acc_r[..cut_r[i]];
-            let left_avail = &acc_l[..cut_l[i]];
-            for (di, d) in shape.disjuncts.iter().enumerate() {
-                if !live[i][di] {
-                    continue;
-                }
-                let ok = d
-                    .left
-                    .iter()
-                    .all(|c| right_avail.iter().any(|rc| rc.matches(c)))
-                    && d.right
-                        .iter()
-                        .all(|c| left_avail.iter().any(|lc| c.matches(lc)));
-                if !ok {
-                    live[i][di] = false;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
     }
-    live[..n].iter().all(|row| row.iter().any(|&b| b))
 }
 
 /// Which side of a disjunct a list reference points into.
@@ -911,7 +1196,13 @@ enum ANode {
     Cat(u32, u32),
 }
 
-fn flatten(arena: &[ANode], shapes: &[&WordShape], idx: u32, out: &mut Vec<Link>) {
+fn flatten(
+    arena: &[ANode],
+    shapes: &[&WordShape],
+    table: &ConnectorTable,
+    idx: u32,
+    out: &mut Vec<Link>,
+) {
     if idx == NIL {
         return;
     }
@@ -922,12 +1213,12 @@ fn flatten(arena: &[ANode], shapes: &[&WordShape], idx: u32, out: &mut Vec<Link>
             out.push(Link {
                 left: left as usize,
                 right: right as usize,
-                label: ca.link_label(cb),
+                label: table.get(ca).link_label(table.get(cb)),
             });
         }
         ANode::Cat(x, y) => {
-            flatten(arena, shapes, x, out);
-            flatten(arena, shapes, y, out);
+            flatten(arena, shapes, table, x, out);
+            flatten(arena, shapes, table, y, out);
         }
     }
 }
@@ -972,19 +1263,44 @@ impl std::hash::Hasher for FxHasher {
 
 type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 
+/// Entries of the region memo kept allocated between parses.
+const MEMO_RETAIN: usize = 1 << 14;
+/// Nodes of the link arena kept allocated between parses.
+const ARENA_RETAIN: usize = 1 << 14;
+
 /// Reusable per-parser storage for uncached parses: the region memo, the
-/// link arena, and the live-disjunct bitmap. Cleared (capacity kept) at the
-/// start of each parse, so steady-state parsing stops allocating.
+/// link arena, and the pruning and candidate tables. Steady-state parsing
+/// stops allocating. After each parse the memo and arena are emptied and
+/// shrink back to at most [`MEMO_RETAIN`] entries and [`ARENA_RETAIN`]
+/// nodes (about 1.7 MB together), so one huge parse does not pin its tens
+/// of megabytes for the life of the parser; on the benchmark's noisy pool
+/// 2 parses in 1,500 outgrow them. The other tables are bounded by the
+/// sentence limit: `MAX_WORDS` words, each with at most one class's
+/// disjuncts and one set or bucket per connector id.
 #[derive(Debug, Clone, Default)]
 struct ParseScratch {
     memo: HashMap<(u16, u16, ListRef, ListRef), Option<Sol>, FxBuild>,
     arena: Vec<ANode>,
-    live: Vec<Vec<bool>>,
+    live: Vec<Vec<u16>>,
+    offers: Vec<u64>,
+    verdicts: Vec<u8>,
+    cands: Candidates,
+}
+
+impl ParseScratch {
+    /// Empties the memo and arena, keeping at most the retained capacity.
+    fn release(&mut self) {
+        self.memo.clear();
+        self.memo.shrink_to(MEMO_RETAIN);
+        self.arena.clear();
+        self.arena.shrink_to(ARENA_RETAIN);
+    }
 }
 
 struct Ctx<'a> {
     shapes: &'a [&'a WordShape],
-    live: &'a [Vec<bool>],
+    table: &'a ConnectorTable,
+    cands: &'a Candidates,
     memo: &'a mut HashMap<(u16, u16, ListRef, ListRef), Option<Sol>, FxBuild>,
     arena: &'a mut Vec<ANode>,
     /// External cancellation flag, polled every `CANCEL_FUEL` region calls.
@@ -1005,8 +1321,8 @@ impl<'a> Ctx<'a> {
     fn list(&self, word: usize, disj: usize, side: Side, offset: usize) -> ListRef {
         let d = &self.shapes[word].disjuncts[disj];
         let len = match side {
-            Side::Left => d.left.len(),
-            Side::Right => d.right.len(),
+            Side::Left => d.left_len as usize,
+            Side::Right => d.right_len as usize,
         };
         if offset >= len {
             ListRef::EMPTY
@@ -1015,11 +1331,18 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Head connector of a list reference. The returned borrow is tied to
-    /// the shape tables (`'a`), not to `self`, so it survives `&mut self`
-    /// recursion.
-    fn head(&self, r: ListRef) -> Option<&'a Connector> {
+    /// Head connector id of a list reference.
+    fn head(&self, r: ListRef) -> Option<u16> {
         head_of(self.shapes, r)
+    }
+
+    /// True when the heads of right-pointing list `a` and left-pointing
+    /// list `b` link (false when either list is empty).
+    fn links(&self, a: ListRef, b: ListRef) -> bool {
+        match (self.head(a), self.head(b)) {
+            (Some(a), Some(b)) => self.table.links(a, b),
+            _ => false,
+        }
     }
 
     fn node(&mut self, node: ANode) -> u32 {
@@ -1057,7 +1380,7 @@ impl<'a> Ctx<'a> {
     /// list; additionally the unchanged list when the head is a
     /// multi-connector (it may match again, necessarily nearer).
     fn successors(&self, r: ListRef) -> [Option<ListRef>; 2] {
-        let multi = self.head(r).map(|c| c.multi).unwrap_or(false);
+        let multi = self.head(r).is_some_and(|c| self.table.get(c).multi);
         [Some(self.advance(r)), if multi { Some(r) } else { None }]
     }
 
@@ -1100,31 +1423,18 @@ impl<'a> Ctx<'a> {
         self.memo.insert(key, None);
 
         let mut best: Option<Sol> = None;
-        let shapes = self.shapes;
-        let live = self.live;
+        let cands = self.cands;
         if l != ListRef::EMPTY {
-            let head_base = self.head(l).expect("non-empty list").base_sym();
+            let head = self.head(l).expect("non-empty list");
             for w in (left + 1)..right {
-                let Some(cands) = shapes[w as usize].by_left_head.get(&head_base) else {
-                    continue;
-                };
-                for &di in cands {
-                    if !live[w as usize][di as usize] {
-                        continue;
-                    }
+                for &di in cands.get(w as usize, Side::Left, head) {
                     self.try_left_anchored(left, right, l, r, w, di as usize, &mut best);
                 }
             }
         } else {
-            let head_base = self.head(r).expect("non-empty list").base_sym();
+            let head = self.head(r).expect("non-empty list");
             for w in (left + 1)..right {
-                let Some(cands) = shapes[w as usize].by_right_head.get(&head_base) else {
-                    continue;
-                };
-                for &di in cands {
-                    if !live[w as usize][di as usize] {
-                        continue;
-                    }
+                for &di in cands.get(w as usize, Side::Right, head) {
                     self.try_right_anchored(left, right, r, w, di as usize, &mut best);
                 }
             }
@@ -1146,14 +1456,8 @@ impl<'a> Ctx<'a> {
         di: usize,
         best: &mut Option<Sol>,
     ) {
+        // `di` is a candidate for `l`'s head: the two heads link.
         let dl = self.list(w as usize, di, Side::Left, 0);
-        let linkable = match (self.head(l), self.head(dl)) {
-            (Some(a), Some(b)) => a.matches(b),
-            _ => false,
-        };
-        if !linkable {
-            return;
-        }
         let d_cost = self.shapes[w as usize].disjuncts[di].cost;
         let link_lw_cost = (w - left) as f64 * LENGTH_PENALTY;
         let dr = self.list(w as usize, di, Side::Right, 0);
@@ -1173,11 +1477,7 @@ impl<'a> Ctx<'a> {
                     }
                 }
                 // Sub-case B: W also links to R.
-                let wr_linkable = match (self.head(dr), self.head(r)) {
-                    (Some(a), Some(b)) => a.matches(b),
-                    _ => false,
-                };
-                if !wr_linkable {
+                if !self.links(dr, r) {
                     continue;
                 }
                 let link_wr_cost = (right - w) as f64 * LENGTH_PENALTY;
@@ -1214,14 +1514,8 @@ impl<'a> Ctx<'a> {
         di: usize,
         best: &mut Option<Sol>,
     ) {
+        // `di` is a candidate for `r`'s head: the two heads link.
         let dr = self.list(w as usize, di, Side::Right, 0);
-        let linkable = match (self.head(dr), self.head(r)) {
-            (Some(a), Some(b)) => a.matches(b),
-            _ => false,
-        };
-        if !linkable {
-            return;
-        }
         let d_cost = self.shapes[w as usize].disjuncts[di].cost;
         let link_wr_cost = (right - w) as f64 * LENGTH_PENALTY;
         let dl = self.list(w as usize, di, Side::Left, 0);
@@ -1245,18 +1539,20 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Head connector of a list reference, resolved against the shape tables.
-fn head_of<'a>(shapes: &[&'a WordShape], r: ListRef) -> Option<&'a Connector> {
+/// Head connector id of a list reference, resolved against the shape
+/// tables.
+fn head_of(shapes: &[&WordShape], r: ListRef) -> Option<u16> {
     if r == ListRef::EMPTY {
         return None;
     }
     let (w, d, side, off) = r.unpack();
-    let disjunct = &shapes[w].disjuncts[d];
+    let shape = shapes[w];
+    let disjunct = &shape.disjuncts[d];
     let list = match side {
-        Side::Left => &disjunct.left,
-        Side::Right => &disjunct.right,
+        Side::Left => disjunct.left,
+        Side::Right => disjunct.right,
     };
-    list.get(off)
+    shape.list(list).get(off).copied()
 }
 
 #[cfg(test)]
@@ -1292,6 +1588,40 @@ mod tests {
         assert_eq!(
             try_parse_text(&parser, "Blood pressure: 144/90").err(),
             Some(ParseFailure::NoDisjuncts)
+        );
+    }
+
+    #[test]
+    fn parsers_share_one_compiled_dictionary() {
+        let a = LinkParser::new();
+        let b = LinkParser::default();
+        assert!(Arc::ptr_eq(&a.dict, &b.dict));
+        assert!(Arc::ptr_eq(&a.dict, &a.clone().dict));
+    }
+
+    #[test]
+    fn parse_scratch_shrinks_after_a_huge_parse() {
+        // The noisy pool's slowest sentence (33 words with the wall) with
+        // three vitals appended: its region memo outgrows the retained
+        // capacity several times over.
+        let parser = LinkParser::new();
+        let text = "Her breast history is negative for any previous biopsies or masses \
+                    GYN History  Menarche at age 1l, gravida 3, para 3, last menstrual \
+                    period about a year ago, weight of 150, pulse of 84, and temperature \
+                    of 98.";
+        assert!(try_parse_text(&parser, text).is_ok());
+        let scratch = parser.scratch.borrow();
+        assert!(scratch.memo.is_empty() && scratch.arena.is_empty());
+        // hashbrown rounds a requested capacity up to 7/8 of a power of two.
+        assert!(
+            scratch.memo.capacity() < 2 * MEMO_RETAIN,
+            "memo keeps {} slots",
+            scratch.memo.capacity()
+        );
+        assert!(
+            scratch.arena.capacity() <= ARENA_RETAIN,
+            "arena keeps {} nodes",
+            scratch.arena.capacity()
         );
     }
 
