@@ -247,7 +247,7 @@ fn scan(text: &str) -> Vec<LineInfo> {
 
         // Attribute / item-head markers that open a region at the next
         // brace. `#[cfg(…test…)]` covers `#[cfg(test)]` and
-        // `#[cfg(all(test, loom))]` alike.
+        // `#[cfg(all(test, feature = "…"))]` alike.
         if (text.contains("#[cfg(") && text.contains("test")) || text.contains("#[test]") {
             pending.push(Kind::Test);
         }
@@ -797,10 +797,10 @@ fn f(m: &std::sync::Mutex<u32>) -> &'static str {
     }
 
     #[test]
-    fn loom_cfg_test_regions_are_excluded() {
+    fn compound_cfg_test_regions_are_excluded() {
         let src = "
-#[cfg(all(test, loom))]
-mod loom_model {
+#[cfg(all(test, feature = \"failpoints\"))]
+mod model {
     pub fn f(m: &std::sync::Mutex<u32>) {
         let g = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         std::thread::sleep(std::time::Duration::from_millis(5));

@@ -53,6 +53,6 @@ pub use salvage::salvage_fold;
 pub use schema::Schema;
 // Re-exported so engine-style pools can share one parse cache without a
 // direct linkgram dependency.
-pub use cmr_linkgram::{SharedCacheStats, SharedParseCache};
+pub use cmr_linkgram::SharedParseCache;
 pub use spec::{CategoricalFieldSpec, FeatureSpec, TermFieldSpec, ValueKind};
 pub use terms::{MedicalTermExtractor, PatternSet, TermHit};

@@ -245,13 +245,11 @@ impl Engine {
             };
         }
         let collector = Arc::new(Mutex::new(MetricsCollector::default()));
-        // One pool-wide parse-structure cache: each worker keeps its
-        // lock-free local cache as a fast path and falls back to this
-        // lock-striped map, so a sentence shape is link-parsed once per
-        // run, not once per worker. Without it, cold per-worker caches
+        // One pool-wide parse-structure cache, the only one every worker's
+        // parser consults, so a sentence shape is link-parsed about once
+        // per run, not once per worker. Without it, cold per-worker caches
         // multiply parse work by the job count.
         let parse_cache = cmr_core::SharedParseCache::new();
-        let cache_handle = parse_cache.clone();
         let start = Instant::now();
 
         let schema = &self.schema;
@@ -336,15 +334,12 @@ impl Engine {
         }
 
         let wall_nanos = start.elapsed().as_nanos() as u64;
-        // The collector guard is a temporary of this statement, released
-        // before `stats()` below takes the cache stripes: the two locks
-        // are never held together.
+        // The collector guard is a temporary of this statement.
         let mut metrics =
             EngineMetrics::from_collector(&lock_collector(&collector), jobs, wall_nanos);
         metrics.lint_warnings = lint.warnings;
         metrics.channel_wait_nanos = pool_stats.channel_wait_nanos;
         metrics.reorder_buffer_high_water = pool_stats.reorder_high_water;
-        metrics.cache_shard_contention = cache_handle.stats().contention;
         metrics
     }
 }
@@ -544,7 +539,6 @@ fn extract_one(
         terms_nanos: timing.terms_nanos,
         total_nanos: total_start.elapsed().as_nanos() as u64,
         cache_hits: stats.cache_hits - stats_before.cache_hits,
-        shared_hits: stats.shared_hits - stats_before.shared_hits,
         cache_misses: stats.cache_misses - stats_before.cache_misses,
     };
     Ok((out, sample))

@@ -120,12 +120,8 @@ impl StageMetrics {
 /// Link-parser structure-cache counters, summed across workers.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct ParseCacheMetrics {
-    /// Sentences answered from a structure cache (local L1 or shared).
+    /// Sentences answered from the pool's structure cache.
     pub hits: u64,
-    /// The subset of `hits` served by the pool-wide sharded cache — a
-    /// shape some *other* worker parsed first. `hits - shared_hits` is
-    /// the contention-free L1 fast path.
-    pub shared_hits: u64,
     /// Sentences that required a fresh parse.
     pub misses: u64,
 }
@@ -317,9 +313,6 @@ pub struct EngineMetrics {
     /// Total nanoseconds workers spent blocked waiting on the input
     /// channel, summed over workers (pool starvation signal).
     pub channel_wait_nanos: u64,
-    /// Shared parse-cache stripe-lock acquisitions that found the stripe
-    /// already held (see `SharedCacheStats::contention`).
-    pub cache_shard_contention: u64,
     /// Peak number of out-of-order results parked in the consumer's
     /// reorder ring awaiting their predecessors.
     pub reorder_buffer_high_water: u64,
@@ -343,7 +336,6 @@ impl EngineMetrics {
             quarantined: c.quarantined,
             service: c.service.clone(),
             channel_wait_nanos: 0,
-            cache_shard_contention: 0,
             reorder_buffer_high_water: 0,
         };
         if wall_nanos > 0 {
@@ -408,7 +400,6 @@ impl EngineMetrics {
         };
         self.stages.merge(&other.stages);
         self.parse_cache.hits += other.parse_cache.hits;
-        self.parse_cache.shared_hits += other.parse_cache.shared_hits;
         self.parse_cache.misses += other.parse_cache.misses;
         self.methods.merge(&other.methods);
         self.degradation.merge(&other.degradation);
@@ -417,7 +408,6 @@ impl EngineMetrics {
         self.quarantined += other.quarantined;
         self.service.merge(&other.service);
         self.channel_wait_nanos += other.channel_wait_nanos;
-        self.cache_shard_contention += other.cache_shard_contention;
         self.reorder_buffer_high_water = self
             .reorder_buffer_high_water
             .max(other.reorder_buffer_high_water);
@@ -439,8 +429,6 @@ pub struct RecordSample {
     pub total_nanos: u64,
     /// Structure-cache hits during this record.
     pub cache_hits: u64,
-    /// The subset of `cache_hits` served by the pool-wide shared cache.
-    pub shared_hits: u64,
     /// Structure-cache misses during this record.
     pub cache_misses: u64,
 }
@@ -477,7 +465,6 @@ impl MetricsCollector {
         self.stages.terms.record(sample.terms_nanos);
         self.stages.total.record(sample.total_nanos);
         self.parse_cache.hits += sample.cache_hits;
-        self.parse_cache.shared_hits += sample.shared_hits;
         self.parse_cache.misses += sample.cache_misses;
         for &m in methods {
             self.methods.count(m);
@@ -491,7 +478,6 @@ impl MetricsCollector {
         self.errors.merge(&other.errors);
         self.stages.merge(&other.stages);
         self.parse_cache.hits += other.parse_cache.hits;
-        self.parse_cache.shared_hits += other.parse_cache.shared_hits;
         self.parse_cache.misses += other.parse_cache.misses;
         self.methods.merge(&other.methods);
         self.degradation.merge(&other.degradation);
@@ -609,11 +595,7 @@ mod tests {
 
     #[test]
     fn cache_hit_ratio() {
-        let m = ParseCacheMetrics {
-            hits: 3,
-            misses: 1,
-            shared_hits: 1,
-        };
+        let m = ParseCacheMetrics { hits: 3, misses: 1 };
         assert!((m.hit_ratio() - 0.75).abs() < 1e-9);
         assert_eq!(ParseCacheMetrics::default().hit_ratio(), 0.0);
     }
@@ -642,7 +624,6 @@ mod tests {
                 terms_nanos: 90,
                 total_nanos: 1000,
                 cache_hits: 2,
-                shared_hits: 1,
                 cache_misses: 1,
             },
             &[MethodUsed::LinkGrammar, MethodUsed::Pattern],
@@ -666,7 +647,6 @@ mod tests {
         c.quarantined = 1;
         let mut m = EngineMetrics::from_collector(&c, 4, 2_000_000_000);
         m.channel_wait_nanos = 123_456_789;
-        m.cache_shard_contention = 17;
         m.reorder_buffer_high_water = 42;
         assert_eq!(m.records, 1);
         assert_eq!(m.errors.total(), 3, "timeouts count toward the total");
@@ -675,9 +655,8 @@ mod tests {
         let back: EngineMetrics = serde_json::from_str(&json).expect("deserializes");
         assert_eq!(back.records, 1);
         assert_eq!(back.channel_wait_nanos, 123_456_789);
-        assert_eq!(back.cache_shard_contention, 17);
         assert_eq!(back.reorder_buffer_high_water, 42);
-        assert_eq!(back.parse_cache.shared_hits, 1);
+        assert_eq!(back.parse_cache.hits, 2);
         assert_eq!(back.jobs, 4);
         assert_eq!(back.methods.link_grammar, 1);
         assert_eq!(back.stages.total.count, 1);

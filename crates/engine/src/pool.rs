@@ -325,123 +325,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Concurrency model for the pool's ordering machinery, built only under
-/// `RUSTFLAGS="--cfg loom"` (the CI loom job). Two properties are modeled
-/// across many interleavings:
-///
-/// 1. **Exactly-once, in-sequence emission**: the reorder ring emits every
-///    fed index exactly once and in strictly ascending order, for any
-///    worker count and chunk size — a duplicate emission, a skipped index,
-///    or an out-of-sequence slot reuse all fail the sink's assertion.
-/// 2. **Stop-flag handshake**: when `fail_fast` flips the stop flag while
-///    the feeder is mid-stream, the feeder stops feeding, the workers
-///    drain queued records through `on_abort`, and what was emitted is
-///    still a gapless exactly-once prefix — the flag never causes a record
-///    to be emitted twice (once processed, once aborted) or dropped.
-#[cfg(all(test, loom))]
-mod loom_model {
-    use super::*;
-    use loom::sync::atomic::{AtomicUsize, Ordering as LoomOrdering};
-
-    /// Runs the pool and asserts the sink saw indices `0..len` in strict
-    /// sequence with no duplicates; returns the emitted results.
-    fn run_and_check_sequence<W>(
-        n: usize,
-        jobs: usize,
-        chunk: usize,
-        fail_fast: bool,
-        make_worker: impl Fn(usize) -> W + Sync,
-    ) -> Vec<Result<usize, String>>
-    where
-        W: FnMut(usize, usize) -> Result<usize, String>,
-    {
-        let mut emitted = Vec::new();
-        run_ordered(
-            0..n,
-            PoolConfig {
-                jobs,
-                queue_depth: 4,
-                fail_fast,
-                shutdown: None,
-                chunk,
-            },
-            make_worker,
-            |m| format!("panic: {m}"),
-            || "aborted".to_string(),
-            |idx, r| {
-                assert_eq!(
-                    idx,
-                    emitted.len(),
-                    "emission out of sequence (or duplicated): got {idx}, expected {}",
-                    emitted.len()
-                );
-                emitted.push(r);
-            },
-        );
-        emitted
-    }
-
-    #[test]
-    fn ring_emits_each_record_exactly_once_in_sequence() {
-        loom::model(|| {
-            for (jobs, chunk) in [(2, 1), (2, 3), (3, 2)] {
-                let emitted = run_and_check_sequence(10, jobs, chunk, false, |_w| {
-                    |_i, x: usize| Ok::<usize, String>(x * 2)
-                });
-                assert_eq!(emitted.len(), 10, "jobs={jobs} chunk={chunk}");
-                for (i, r) in emitted.iter().enumerate() {
-                    assert_eq!(r, &Ok(i * 2), "jobs={jobs} chunk={chunk}");
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn stop_flag_handshake_keeps_emission_exact_once() {
-        loom::model(|| {
-            // The worker fails on index 2 with the stop flag still cold, so
-            // the flag is raised while the feeder races to enqueue the rest
-            // of the stream. Whatever interleaving wins, each fed index
-            // resolves exactly once: processed before the flag, or drained
-            // through `on_abort` after it — never both, never skipped.
-            let processed = AtomicUsize::new(0);
-            let processed_ref = &processed;
-            let emitted = run_and_check_sequence(64, 2, 2, true, |_w| {
-                move |i, x: usize| {
-                    if i == 2 {
-                        Err("poison".to_string())
-                    } else {
-                        processed_ref.fetch_add(1, LoomOrdering::SeqCst);
-                        Ok::<usize, String>(x)
-                    }
-                }
-            });
-            assert!(!emitted.is_empty() && emitted.len() <= 64);
-            let aborted = emitted
-                .iter()
-                .filter(|r| matches!(r, Err(e) if e == "aborted"))
-                .count();
-            let failed = emitted
-                .iter()
-                .filter(|r| matches!(r, Err(e) if e == "poison"))
-                .count();
-            assert_eq!(failed, 1, "the poisoned record resolves exactly once");
-            assert_eq!(
-                processed.load(LoomOrdering::SeqCst) + aborted + failed,
-                emitted.len(),
-                "a fed record was both processed and aborted, or neither"
-            );
-            // Everything past the poison is an abort or a pre-flag success,
-            // and index 2 itself carries the original error.
-            assert!(matches!(&emitted[2], Err(e) if e == "poison"));
-        });
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     fn cfg(jobs: usize, fail_fast: bool) -> PoolConfig {
         PoolConfig {
@@ -794,6 +682,110 @@ mod tests {
         for (i, (idx, r)) in results.iter().enumerate() {
             assert_eq!(*idx, i, "gap in emitted indices");
             assert_eq!(r, &Ok(i), "fed item was aborted instead of drained");
+        }
+    }
+
+    /// Each threaded ordering check below reruns for this many schedules.
+    const ROUNDS: usize = 64;
+
+    /// Runs the pool and asserts the sink saw indices `0..len` in strict
+    /// sequence with no duplicates; returns the emitted results.
+    fn run_and_check_sequence<W>(
+        n: usize,
+        jobs: usize,
+        chunk: usize,
+        fail_fast: bool,
+        make_worker: impl Fn(usize) -> W + Sync,
+    ) -> Vec<Result<usize, String>>
+    where
+        W: FnMut(usize, usize) -> Result<usize, String>,
+    {
+        let mut emitted = Vec::new();
+        run_ordered(
+            0..n,
+            PoolConfig {
+                jobs,
+                queue_depth: 4,
+                fail_fast,
+                shutdown: None,
+                chunk,
+            },
+            make_worker,
+            |m| format!("panic: {m}"),
+            || "aborted".to_string(),
+            |idx, r| {
+                assert_eq!(
+                    idx,
+                    emitted.len(),
+                    "emission out of sequence (or duplicated): got {idx}, expected {}",
+                    emitted.len()
+                );
+                emitted.push(r);
+            },
+        );
+        emitted
+    }
+
+    /// The reorder ring emits every fed index exactly once and in strictly
+    /// ascending order, for any worker count and chunk size — a duplicate
+    /// emission, a skipped index, or an out-of-sequence slot reuse all
+    /// fail the sink's assertion.
+    #[test]
+    fn ring_emits_each_record_exactly_once_in_sequence() {
+        for _ in 0..ROUNDS {
+            for (jobs, chunk) in [(2, 1), (2, 3), (3, 2)] {
+                let emitted = run_and_check_sequence(10, jobs, chunk, false, |_w| {
+                    |_i, x: usize| Ok::<usize, String>(x * 2)
+                });
+                assert_eq!(emitted.len(), 10, "jobs={jobs} chunk={chunk}");
+                for (i, r) in emitted.iter().enumerate() {
+                    assert_eq!(r, &Ok(i * 2), "jobs={jobs} chunk={chunk}");
+                }
+            }
+        }
+    }
+
+    /// When `fail_fast` flips the stop flag while the feeder is
+    /// mid-stream, the feeder stops feeding, the workers drain queued
+    /// records through `on_abort`, and what was emitted is still a gapless
+    /// exactly-once prefix.
+    #[test]
+    fn stop_flag_handshake_keeps_emission_exact_once() {
+        for _ in 0..ROUNDS {
+            // The worker fails on index 2 with the stop flag still cold, so
+            // the flag is raised while the feeder races to enqueue the rest
+            // of the stream. Whatever interleaving wins, each fed index
+            // resolves exactly once: processed before the flag, or drained
+            // through `on_abort` after it — never both, never skipped.
+            let processed = AtomicUsize::new(0);
+            let processed_ref = &processed;
+            let emitted = run_and_check_sequence(64, 2, 2, true, |_w| {
+                move |i, x: usize| {
+                    if i == 2 {
+                        Err("poison".to_string())
+                    } else {
+                        processed_ref.fetch_add(1, Ordering::SeqCst);
+                        Ok::<usize, String>(x)
+                    }
+                }
+            });
+            assert!(!emitted.is_empty() && emitted.len() <= 64);
+            let aborted = emitted
+                .iter()
+                .filter(|r| matches!(r, Err(e) if e == "aborted"))
+                .count();
+            let failed = emitted
+                .iter()
+                .filter(|r| matches!(r, Err(e) if e == "poison"))
+                .count();
+            assert_eq!(failed, 1, "the poisoned record resolves exactly once");
+            assert_eq!(
+                processed.load(Ordering::SeqCst) + aborted + failed,
+                emitted.len(),
+                "a fed record was both processed and aborted, or neither"
+            );
+            // Index 2 itself carries the original error.
+            assert!(matches!(&emitted[2], Err(e) if e == "poison"));
         }
     }
 }

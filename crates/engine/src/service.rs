@@ -157,14 +157,12 @@ impl ServiceHandle {
     /// thus `records_per_sec`) covers the whole uptime, idle included —
     /// it is a service-lifetime rate, not a batch throughput.
     pub fn metrics(&self) -> EngineMetrics {
-        // The guard is released before `stats()` takes the cache stripes.
         let mut m = EngineMetrics::from_collector(
             &lock_collector(&self.collector),
             self.jobs(),
             self.started.elapsed().as_nanos() as u64,
         );
         m.lint_warnings = self.lint_warnings;
-        m.cache_shard_contention = self.parse_cache.stats().contention;
         m
     }
 

@@ -1,6 +1,7 @@
 //! Durability integration tests: poison quarantine, the stuck-worker
-//! watchdog, and graceful shutdown. Kill-and-resume identity is a
-//! property of the durable loop, tested in `shard_proptests.rs`.
+//! watchdog, graceful shutdown, and the pool's parse-cache traffic.
+//! Kill-and-resume identity is a property of the durable loop, tested in
+//! `shard_proptests.rs`.
 
 use cmr_engine::{read_quarantine, Engine, EngineConfig, EngineError, QuarantineFile, RetryPolicy};
 use std::path::PathBuf;
@@ -189,4 +190,36 @@ fn mid_run_shutdown_drains_a_clean_prefix() {
         assert_eq!(*idx, i, "prefix must be contiguous");
         assert!(result.is_ok(), "drained records are processed, not aborted");
     }
+}
+
+/// The pool's workers share one parse cache and hold no lock across a
+/// cold parse, so workers that first meet a shape together may each parse
+/// it. Lookups are the same at any worker count, and cold parses stay
+/// within one per worker of the serial count.
+#[test]
+fn parse_cache_traffic_is_bounded_across_worker_counts() {
+    let texts = corpus(24, 11);
+    let traffic = |jobs| {
+        engine(EngineConfig {
+            jobs,
+            ..EngineConfig::default()
+        })
+        .extract_batch(&texts)
+        .metrics
+        .parse_cache
+    };
+    let serial = traffic(1);
+    let pooled = traffic(4);
+    assert!(serial.misses > 0, "a cold run parses");
+    assert_eq!(
+        serial.hits + serial.misses,
+        pooled.hits + pooled.misses,
+        "lookups differ between jobs 1 and 4"
+    );
+    assert!(
+        pooled.misses <= 4 * serial.misses,
+        "{} cold parses at jobs 4 against {} at jobs 1",
+        pooled.misses,
+        serial.misses
+    );
 }

@@ -41,4 +41,4 @@ pub use constituent::Constituents;
 pub use dict::{class_defs, tag_classes, word_classes, DictError, Dictionary};
 pub use expr::{expand, parse_expr, Disjunct, Expr, ParseError};
 pub use linkage::{Link, LinkWeights, Linkage};
-pub use parser::{LinkParser, ParseFailure, ParserStats, SharedCacheStats, SharedParseCache};
+pub use parser::{LinkParser, ParseFailure, ParserStats, SharedParseCache};

@@ -37,7 +37,7 @@ use crate::linkage::{Link, Linkage};
 use cmr_postag::{PosTagger, TaggedToken};
 use cmr_text::{tokenize, Sym};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Per-link length penalty: breaks cost ties toward close attachment
@@ -49,7 +49,7 @@ const LENGTH_PENALTY: f64 = 0.01;
 /// time.
 const MAX_WORDS: usize = 48;
 
-/// Maximum cached parse structures before the cache resets.
+/// Default bound on the cached parse structures of one cache.
 const PARSE_CACHE_CAP: usize = 4096;
 
 /// The parser, holding a compiled [`Dictionary`] and a structure cache.
@@ -57,22 +57,19 @@ const PARSE_CACHE_CAP: usize = 4096;
 /// The cache exploits a structural fact: a linkage depends only on each
 /// word's *class key* (explicit word-table entry, or POS-tag class), never
 /// on open-vocabulary spellings or number values. Re-parsing "pulse of 84"
-/// after "pulse of 96" is a lookup. The cache makes the parser `!Sync`;
-/// clone it per thread instead (the dictionary is shared behavior, the
-/// cache mere memory).
+/// after "pulse of 96" is a lookup. The parser's scratch buffers and
+/// counters make it `!Sync`; build or clone one per thread.
 ///
-/// A pool of per-thread parsers can additionally attach one
-/// [`SharedParseCache`]: each parser still answers from its lock-free local
-/// cache first, and only consults (and feeds) the shared map on a local
-/// miss — so a sentence shape is parsed once per *pool*, not once per
-/// worker, at the cost of one mutex lock per locally-unseen shape.
+/// Every parser holds exactly one [`SharedParseCache`] handle: a private
+/// one from [`LinkParser::new`], or a pool's, attached with
+/// [`LinkParser::set_shared_cache`], so that a shape is parsed about once
+/// per *pool*, not once per worker. Clones share their cache.
 #[derive(Debug, Clone)]
 pub struct LinkParser {
     /// The process-wide clinical dictionary, compiled once and shared by
     /// every parser (see [`clinical_dictionary`]).
     dict: Arc<Dictionary>,
-    cache: std::cell::RefCell<ShapeCache>,
-    shared: Option<SharedParseCache>,
+    cache: SharedParseCache,
     stats: std::cell::Cell<ParserStats>,
     /// Reused buffer for building cache signatures (interned class keys).
     sig_scratch: std::cell::RefCell<Vec<Sym>>,
@@ -138,7 +135,7 @@ type ShapeEntry = Result<CachedParse, ParseFailure>;
 /// without it being touched — a steady-state working set smaller than half
 /// the capacity is never evicted, unlike the old wholesale `clear()` which
 /// dropped the working set along with the strays that filled the map.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ShapeCache {
     hot: HashMap<Arc<[Sym]>, ShapeEntry, FxBuild>,
     cold: HashMap<Arc<[Sym]>, ShapeEntry, FxBuild>,
@@ -201,169 +198,57 @@ impl ShapeCache {
     }
 }
 
-/// Default number of lock stripes in a [`SharedParseCache`] (a power of
-/// two). Eight stripes keep the worst case at jobs=8 near one worker per
-/// lock while costing only a few empty maps when the pool is small.
-const SHARED_CACHE_SHARDS: usize = 8;
-
-/// A parse-structure cache shared between parser instances across threads,
-/// lock-striped by signature hash. Cloning the handle shares the shards;
-/// each shard is bounded by the same two-generation eviction scheme as
-/// each parser's local cache.
+/// A bounded parse-structure cache that parsers on many threads share
+/// (see [`LinkParser::set_shared_cache`]): one two-generation
+/// [`ShapeCache`] behind one mutex, so a pool keeps at most its capacity
+/// ([`PARSE_CACHE_CAP`] by default) of shapes whatever its worker count.
+/// Cloning the handle shares the map.
 ///
-/// The stripe for a shape is a pure function of its signature, so workers
-/// racing on *one* cold shape still serialize on one stripe — preserving
-/// the no-double-parse property — while lookups of distinct shapes usually
-/// land on distinct stripes and proceed in parallel. Stripe locks are
-/// taken `try_lock`-first; an acquisition that would block is counted in
-/// [`SharedCacheStats::contention`] before falling back to a blocking
-/// lock, so the engine can report real contention rather than guess.
-#[derive(Debug, Clone)]
+/// The lock is held only to look up or to insert, never across a parse:
+/// a hit never waits behind another shape's cold parse. Two workers that
+/// first see one shape at the same moment may both parse it; the second
+/// insert replaces the first with an identical entry.
+#[derive(Debug, Clone, Default)]
 pub struct SharedParseCache {
-    inner: Arc<SharedShards>,
-}
-
-#[derive(Debug)]
-struct SharedShards {
-    shards: Box<[Mutex<ShapeCache>]>,
-    /// `shards.len() - 1`; the stripe count is always a power of two.
-    mask: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    contention: AtomicU64,
-}
-
-/// Counter snapshot of a [`SharedParseCache`] (see
-/// [`SharedParseCache::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharedCacheStats {
-    /// Number of lock stripes.
-    pub shards: usize,
-    /// Cached sentence shapes, summed over stripes.
-    pub entries: usize,
-    /// Entries discarded by generation rotation, summed over stripes.
-    pub evictions: u64,
-    /// Lookups answered from the shared map.
-    pub hits: u64,
-    /// Lookups that fell through to the O(n³) parser.
-    pub misses: u64,
-    /// Stripe-lock acquisitions that found the stripe already held.
-    pub contention: u64,
-}
-
-impl Default for SharedParseCache {
-    fn default() -> Self {
-        SharedParseCache::with_capacity(PARSE_CACHE_CAP)
-    }
+    inner: Arc<Mutex<ShapeCache>>,
 }
 
 impl SharedParseCache {
-    /// An empty shared cache with the default capacity and stripe count.
+    /// An empty cache with the default capacity.
     pub fn new() -> SharedParseCache {
         SharedParseCache::default()
     }
 
-    /// An empty shared cache bounded to roughly `cap` cached shapes,
-    /// striped across [`SHARED_CACHE_SHARDS`] locks.
+    /// An empty cache bounded to `cap` cached shapes.
     pub fn with_capacity(cap: usize) -> SharedParseCache {
-        SharedParseCache::with_shards(cap, SHARED_CACHE_SHARDS)
-    }
-
-    /// An empty shared cache with an explicit stripe count, rounded up to
-    /// a power of two. `shards == 1` reproduces the old single-lock cache
-    /// exactly — the sharded-vs-single-lock equivalence proptest pins the
-    /// two configurations to identical parse results.
-    pub fn with_shards(cap: usize, shards: usize) -> SharedParseCache {
-        let n = shards.max(1).next_power_of_two();
-        let per_shard = cap.div_ceil(n).max(2);
         SharedParseCache {
-            inner: Arc::new(SharedShards {
-                shards: (0..n)
-                    .map(|_| Mutex::new(ShapeCache::with_limit(per_shard)))
-                    .collect(),
-                mask: (n - 1) as u64,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                contention: AtomicU64::new(0),
-            }),
+            inner: Arc::new(Mutex::new(ShapeCache::with_limit(cap))),
         }
     }
 
-    /// The stripe responsible for `sig`. Shard bits come from the middle
-    /// of the signature hash: hashbrown derives bucket indexes from the
-    /// low bits and its control tag from the top seven, so neither loses
-    /// distribution inside a shard's map.
-    fn shard_for(&self, sig: &[Sym]) -> &Mutex<ShapeCache> {
-        use std::hash::BuildHasher;
-        let h = FxBuild::default().hash_one(sig);
-        &self.inner.shards[((h >> 32) & self.inner.mask) as usize]
+    /// Locks the map. A poisoned lock is recovered, not propagated: the
+    /// map holds plain data, valid at every unlock point, so a worker that
+    /// panicked mid-extraction cannot invalidate the cache for the rest of
+    /// the pool.
+    fn lock(&self) -> MutexGuard<'_, ShapeCache> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Locks one stripe, counting acquisitions that had to block. A
-    /// poisoned stripe is recovered, not propagated: the map holds plain
-    /// data, valid at every unlock point, so a worker that panicked
-    /// mid-extraction cannot invalidate the cache for the rest of the
-    /// pool.
-    fn lock_shard<'a>(&'a self, shard: &'a Mutex<ShapeCache>) -> MutexGuard<'a, ShapeCache> {
-        match shard.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::Poisoned(poison)) => poison.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.inner.contention.fetch_add(1, Ordering::Relaxed);
-                shard
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            }
-        }
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// Entries discarded by the shared cache's generation rotation.
+    /// Entries discarded by generation rotation since construction.
     pub fn evictions(&self) -> u64 {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .evictions
-            })
-            .sum()
+        self.lock().evictions
     }
 
-    /// Number of cached sentence shapes across all stripes.
+    /// Number of cached sentence shapes.
     pub fn len(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .sum()
+        self.lock().len()
     }
 
     /// True when no shapes are cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Counter snapshot: stripe count, entries, evictions, pool-wide
-    /// hit/miss totals, and blocked stripe-lock acquisitions.
-    pub fn stats(&self) -> SharedCacheStats {
-        SharedCacheStats {
-            shards: self.shard_count(),
-            entries: self.len(),
-            evictions: self.evictions(),
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            contention: self.inner.contention.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -373,16 +258,10 @@ impl SharedParseCache {
 pub struct ParserStats {
     /// Parses answered from the structure cache.
     pub cache_hits: u64,
-    /// The subset of `cache_hits` answered by the pool-wide shared cache
-    /// (a locally-unseen shape another worker had already parsed).
-    pub shared_hits: u64,
     /// Parses that ran the O(n³) region parser.
     pub cache_misses: u64,
     /// Wall time spent in uncached parses, in nanoseconds.
     pub parse_nanos: u64,
-    /// Entries discarded from the local structure cache by generation
-    /// rotation (see the cap on the cache).
-    pub evictions: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -411,8 +290,7 @@ impl LinkParser {
     pub fn new() -> LinkParser {
         LinkParser {
             dict: clinical_dictionary(),
-            cache: std::cell::RefCell::new(ShapeCache::default()),
-            shared: None,
+            cache: SharedParseCache::new(),
             stats: std::cell::Cell::new(ParserStats::default()),
             sig_scratch: std::cell::RefCell::new(Vec::new()),
             scratch: std::cell::RefCell::new(ParseScratch::default()),
@@ -428,17 +306,10 @@ impl LinkParser {
         self.cancel = Some(flag);
     }
 
-    /// Rebounds the local structure cache to roughly `cap` shapes,
-    /// discarding current entries (tests, memory tuning).
-    pub fn set_cache_capacity(&mut self, cap: usize) {
-        *self.cache.borrow_mut() = ShapeCache::with_limit(cap);
-    }
-
-    /// Attaches a pool-wide structure cache, consulted (and fed) on
-    /// local-cache misses. A shared-cache hit counts as a cache hit in
-    /// [`ParserStats`].
+    /// Replaces this parser's structure cache with `cache`, typically a
+    /// pool-wide one that every worker's parser holds.
     pub fn set_shared_cache(&mut self, cache: SharedParseCache) {
-        self.shared = Some(cache);
+        self.cache = cache;
     }
 
     /// Parses raw sentence text (tokenizing and tagging internally).
@@ -483,7 +354,10 @@ impl LinkParser {
         let mut sig = self.sig_scratch.borrow_mut();
         sig.clear();
         sig.extend(tagged.iter().map(|t| self.dict.class_key_sym(t)));
-        if let Some(cached) = self.cache.borrow_mut().get(&sig) {
+        // The lock is held for the lookup only; the guard is a temporary
+        // of this statement.
+        let cached = self.cache.lock().get(&sig);
+        if let Some(cached) = cached {
             drop(sig);
             self.count_hit();
             return match cached {
@@ -491,55 +365,17 @@ impl LinkParser {
                 Err(f) => Err(f),
             };
         }
-        // A miss materializes the signature exactly once; the shared and
-        // local inserts below share it by cloning the cheap `Arc`.
+        // A miss materializes the signature exactly once, then parses with
+        // no lock held.
         let signature: Arc<[Sym]> = Arc::from(&sig[..]);
         drop(sig);
-        // Local miss: another parser in the pool may have seen this shape.
-        // The shape's stripe lock is held ACROSS the fallback parse on a
-        // shared miss, deliberately: when a pool starts cold, every worker
-        // hits the same few shapes at once, and lookup-then-parse-then-
-        // insert would let all of them run the O(n³) parser on the same
-        // shape concurrently (duplicating exactly the work the cache
-        // exists to avoid). Racers on one shape hash to one stripe, so
-        // cold parses of a shape serialize; distinct shapes take distinct
-        // stripes and parse in parallel. Steady state is absorbed by the
-        // lock-free local cache above.
-        if let Some(shared) = &self.shared {
-            let shard = shared.shard_for(&signature);
-            let mut map = shared.lock_shard(shard);
-            if let Some(cached) = map.get(&signature[..]) {
-                drop(map);
-                shared.inner.hits.fetch_add(1, Ordering::Relaxed);
-                self.count_shared_hit();
-                let result = match &cached {
-                    Ok(c) => Ok(self.rebuild(tagged, c)),
-                    Err(f) => Err(*f),
-                };
-                self.cache.borrow_mut().insert(signature, cached);
-                return result;
-            }
-            shared.inner.misses.fetch_add(1, Ordering::Relaxed);
-            let result = self.parse_and_count(tagged);
-            // A cancelled search is an artifact of the deadline, not a
-            // property of the shape: caching it would make one timed-out
-            // record poison every later sighting of the same shape.
-            if matches!(result, Err(ParseFailure::Cancelled)) {
-                return result;
-            }
-            let entry = cache_entry(&result);
-            map.insert(Arc::clone(&signature), entry.clone());
-            drop(map);
-            self.cache.borrow_mut().insert(signature, entry);
-            return result;
-        }
         let result = self.parse_and_count(tagged);
-        if matches!(result, Err(ParseFailure::Cancelled)) {
-            return result;
+        // A cancelled search is an artifact of the deadline, not a
+        // property of the shape: caching it would make one timed-out
+        // record poison every later sighting of the same shape.
+        if !matches!(result, Err(ParseFailure::Cancelled)) {
+            self.cache.lock().insert(signature, cache_entry(&result));
         }
-        self.cache
-            .borrow_mut()
-            .insert(signature, cache_entry(&result));
         result
     }
 
@@ -547,15 +383,6 @@ impl LinkParser {
     fn count_hit(&self) {
         let mut stats = self.stats.get();
         stats.cache_hits += 1;
-        self.stats.set(stats);
-    }
-
-    /// Charges one hit served by the pool-wide shared cache (counted both
-    /// as a plain hit and in the shared-hit subset).
-    fn count_shared_hit(&self) {
-        let mut stats = self.stats.get();
-        stats.cache_hits += 1;
-        stats.shared_hits += 1;
         self.stats.set(stats);
     }
 
@@ -684,27 +511,25 @@ impl LinkParser {
         &self.dict
     }
 
-    /// Drops all cached parse structures (benchmarking, memory pressure).
+    /// Drops all cached parse structures, for every parser sharing the
+    /// cache (benchmarking, memory pressure).
     pub fn clear_cache(&self) {
-        self.cache.borrow_mut().clear();
+        self.cache.lock().clear();
     }
 
     /// Number of cached parse structures.
     pub fn cache_len(&self) -> usize {
-        self.cache.borrow().len()
+        self.cache.len()
     }
 
     /// Cache and timing counters since construction or the last reset.
     pub fn stats(&self) -> ParserStats {
-        let mut stats = self.stats.get();
-        stats.evictions = self.cache.borrow().evictions;
-        stats
+        self.stats.get()
     }
 
     /// Zeroes the [`ParserStats`] counters (the cache itself is kept).
     pub fn reset_stats(&self) {
         self.stats.set(ParserStats::default());
-        self.cache.borrow_mut().evictions = 0;
     }
 
     /// Null-link parsing (the original parser's "panic mode"): when no
@@ -1886,11 +1711,9 @@ mod tests {
         assert_eq!(b.stats().cache_hits, 1);
         assert_eq!(first.links, second.links);
 
-        // The shared hit seeded b's local cache: the next lookup stays local.
-        b.parse_sentence("Blood pressure is 118/76.")
-            .expect("parses");
-        assert_eq!(b.stats().cache_hits, 2);
+        // Both parsers see the one shared entry.
         assert_eq!(b.cache_len(), 1);
+        assert_eq!(a.cache_len(), 1);
 
         // Failed parses are shared too (same shape, different values).
         assert!(a.parse_sentence("Blood pressure: 144/90.").is_none());
@@ -1905,30 +1728,27 @@ mod tests {
     }
 
     #[test]
-    fn panic_while_holding_a_shard_leaves_the_cache_usable() {
-        // A worker unwinding mid-extraction with a stripe guard in hand
-        // poisons that stripe's mutex. `lock_shard` recovers (the map is
-        // plain data, valid at every unlock point), so the surviving
-        // workers keep reading and writing the same stripe.
-        let shared = SharedParseCache::with_shards(64, 1); // one stripe: the poisoned one
+    fn panic_while_holding_the_lock_leaves_the_cache_usable() {
+        // A worker unwinding mid-extraction with the cache guard in hand
+        // poisons the mutex. `lock` recovers (the map is plain data, valid
+        // at every unlock point), so the surviving workers keep reading
+        // and writing the same cache.
+        let shared = SharedParseCache::with_capacity(64);
         let sig: Arc<[Sym]> = Arc::from(vec![cmr_text::intern("\u{1}poison-test")].as_slice());
 
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = shared.lock_shard(shared.shard_for(&sig));
+            let _guard = shared.lock();
             panic!("worker died mid-extraction");
         }));
         assert!(unwound.is_err());
 
         // Writes still land…
         shared
-            .lock_shard(shared.shard_for(&sig))
+            .lock()
             .insert(Arc::clone(&sig), Err(ParseFailure::NoLinkage));
         // …and later lookups (and a full parse through the poisoned
-        // stripe) still answer.
-        assert!(shared
-            .lock_shard(shared.shard_for(&sig))
-            .get(&sig[..])
-            .is_some());
+        // cache) still answer.
+        assert!(shared.lock().get(&sig[..]).is_some());
         let mut parser = LinkParser::new();
         parser.set_shared_cache(shared.clone());
         assert!(parser.parse_sentence("Blood pressure is 144/90.").is_some());
@@ -1978,8 +1798,9 @@ mod tests {
     #[test]
     fn eviction_keeps_steady_state_working_set() {
         let tagger = PosTagger::new();
+        let cache = SharedParseCache::with_capacity(16); // gen_cap = 8
         let mut parser = LinkParser::new();
-        parser.set_cache_capacity(16); // gen_cap = 8
+        parser.set_shared_cache(cache.clone());
         let hot: Vec<Vec<TaggedToken>> = (1..=6)
             .map(|k| tagger.tag(&tokenize(&"of ".repeat(k))))
             .collect();
@@ -2001,140 +1822,92 @@ mod tests {
         }
         let rate = hot_hits as f64 / hot_lookups as f64;
         assert!(rate > 0.9, "hot working-set hit rate {rate} <= 0.9");
-        assert!(parser.stats().evictions > 0, "churn must evict strays");
+        assert!(cache.evictions() > 0, "churn must evict strays");
         assert!(parser.cache_len() <= 16, "cache bounded by its capacity");
     }
-}
 
-/// Concurrency model for the shared parse cache, built only under
-/// `RUSTFLAGS="--cfg loom"` (the CI loom job). Three properties of the
-/// engine's pool-wide lock-striped cache are modeled:
-///
-/// 1. **No double parse**: the shape's stripe lock is held across the
-///    fallback parse on a shared miss (see `try_parse`), and a shape's
-///    stripe is a pure function of its signature — so N workers racing
-///    on a cold shape run the O(n³) parser exactly once.
-/// 2. **No lost publication across shards**: an insert on any stripe is
-///    visible to every later lookup from any worker, regardless of which
-///    shards the two workers touched in between.
-/// 3. **Bounded, lossless accounting**: under concurrent inserts each
-///    two-generation shard never exceeds its capacity, and every entry is
-///    either still cached or counted by the eviction counter — rotation
-///    cannot silently lose an insert.
-#[cfg(all(test, loom))]
-mod loom_model {
-    use super::*;
-    use loom::sync::atomic::{AtomicUsize, Ordering};
-    use loom::thread;
+    /// Threaded checks of the shared cache, each run for [`ROUNDS`]
+    /// schedules: two workers, released together by a barrier, take the
+    /// path `try_parse` takes — look up under the lock, "parse" with no
+    /// lock held, insert under the lock.
+    const ROUNDS: usize = 64;
 
-    fn sig(test: &str, n: usize) -> Arc<[Sym]> {
-        // The \u{1} prefix keeps model keys out of any real class symbol.
-        let sym = cmr_text::intern(&format!("\u{1}loom-{test}-{n}"));
+    fn model_sig(test: &str, n: usize) -> Arc<[Sym]> {
+        // The \u{1} prefix keeps test keys out of any real class symbol.
+        let sym = cmr_text::intern(&format!("\u{1}cache-{test}-{n}"));
         Arc::from(vec![sym].as_slice())
     }
 
-    /// The engine's shared-miss path, reduced to its locking skeleton:
-    /// pick the shape's stripe, then look up and (on a miss) parse +
-    /// insert under one stripe-lock acquisition.
-    fn lookup_or_parse(shared: &SharedParseCache, sig: Arc<[Sym]>, parses: &AtomicUsize) {
-        let shard = shared.shard_for(&sig);
-        let mut map = shared.lock_shard(shard);
-        if map.get(&sig[..]).is_some() {
-            shared.inner.hits.fetch_add(1, Ordering::Relaxed);
-            return;
+    /// Returns whether the lookup missed (and so "parsed" and inserted).
+    fn lookup_or_insert(shared: &SharedParseCache, sig: Arc<[Sym]>) -> bool {
+        let cached = shared.lock().get(&sig[..]);
+        if cached.is_some() {
+            return false;
         }
-        parses.fetch_add(1, Ordering::SeqCst); // "the O(n³) parse"
-        map.insert(sig, Err(ParseFailure::NoLinkage));
+        shared.lock().insert(sig, Err(ParseFailure::NoLinkage));
+        true
     }
 
     #[test]
-    fn cold_start_parses_each_shape_exactly_once() {
-        loom::model(|| {
-            const SHAPES: usize = 3;
+    fn shared_cache_never_loses_a_publication() {
+        const SHAPES: usize = 5;
+        for _ in 0..ROUNDS {
             let shared = SharedParseCache::with_capacity(1024);
-            let parses: Arc<[AtomicUsize]> =
-                Arc::from((0..SHAPES).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
-            let workers: Vec<_> = (0..2)
-                .map(|_| {
-                    let shared = shared.clone();
-                    let parses = Arc::clone(&parses);
-                    thread::spawn(move || {
-                        for n in 0..SHAPES {
-                            lookup_or_parse(&shared, sig("once", n), &parses[n]);
-                        }
-                    })
-                })
-                .collect();
-            for w in workers {
-                w.join().expect("model worker");
-            }
-            for (n, count) in parses.iter().enumerate() {
-                assert_eq!(count.load(Ordering::SeqCst), 1, "shape {n} parsed twice");
-            }
-            assert_eq!(shared.len(), SHAPES);
-        });
-    }
-
-    #[test]
-    fn no_lost_publication_across_shards() {
-        loom::model(|| {
-            // Enough distinct shapes to land on several of the stripes.
-            const SHAPES: usize = 5;
-            let shared = SharedParseCache::with_capacity(1024);
-            let parses: Arc<[AtomicUsize]> =
-                Arc::from((0..SHAPES).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
+            let start = std::sync::Barrier::new(2);
             // Worker A publishes shapes in ascending order, worker B in
-            // descending order, so the two cross on different shards in
-            // every interleaving. Every publication must be observed:
-            // exactly-once parsing plus a full final map means no insert
-            // was lost between stripes.
-            let workers: Vec<_> = [false, true]
-                .into_iter()
-                .map(|reverse| {
-                    let shared = shared.clone();
-                    let parses = Arc::clone(&parses);
-                    thread::spawn(move || {
-                        for i in 0..SHAPES {
-                            let n = if reverse { SHAPES - 1 - i } else { i };
-                            lookup_or_parse(&shared, sig("publish", n), &parses[n]);
-                        }
+            // descending order, so the two cross mid-way. Every shape is
+            // parsed at least once and at most once per worker, and every
+            // publication is still there at the end.
+            let parses: Vec<usize> = std::thread::scope(|scope| {
+                let workers: Vec<_> = [false, true]
+                    .into_iter()
+                    .map(|reverse| {
+                        let (shared, start) = (&shared, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            (0..SHAPES)
+                                .filter(|&i| {
+                                    let n = if reverse { SHAPES - 1 - i } else { i };
+                                    lookup_or_insert(shared, model_sig("publish", n))
+                                })
+                                .count()
+                        })
                     })
-                })
-                .collect();
-            for w in workers {
-                w.join().expect("model worker");
-            }
-            for (n, count) in parses.iter().enumerate() {
-                assert_eq!(count.load(Ordering::SeqCst), 1, "shape {n} parsed twice");
-            }
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("cache worker"))
+                    .collect()
+            });
+            let total: usize = parses.iter().sum();
+            assert!((SHAPES..=2 * SHAPES).contains(&total), "{total} parses");
             assert_eq!(shared.len(), SHAPES, "a publication was lost");
-        });
+            for n in 0..SHAPES {
+                assert!(shared.lock().get(&model_sig("publish", n)).is_some());
+            }
+        }
     }
 
     #[test]
-    fn concurrent_inserts_stay_bounded_and_accounted() {
-        loom::model(|| {
-            const PER_WORKER: usize = 8;
-            // One stripe: the bound under test is the two-generation
-            // shard map itself, so pin all keys onto a single shard.
-            let shared = SharedParseCache::with_shards(4, 1); // gen_cap = 2
-            let workers: Vec<_> = (0..2)
-                .map(|w| {
-                    let shared = shared.clone();
-                    thread::spawn(move || {
+    fn shared_cache_stays_bounded_and_accounted() {
+        const PER_WORKER: usize = 8;
+        for _ in 0..ROUNDS {
+            let shared = SharedParseCache::with_capacity(4); // gen_cap = 2
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for w in 0..2 {
+                    let (shared, start) = (&shared, &start);
+                    scope.spawn(move || {
+                        start.wait();
                         for n in 0..PER_WORKER {
-                            let key = sig("bound", w * PER_WORKER + n);
-                            lookup_or_parse(&shared, Arc::clone(&key), &AtomicUsize::new(0));
+                            let key = model_sig("bound", w * PER_WORKER + n);
+                            lookup_or_insert(shared, Arc::clone(&key));
                             // Re-touching promotes; must never panic or lose.
-                            let shard = shared.shard_for(&key);
-                            let _ = shared.lock_shard(shard).get(&key[..]);
+                            let _ = shared.lock().get(&key[..]);
                         }
-                    })
-                })
-                .collect();
-            for w in workers {
-                w.join().expect("model worker");
-            }
+                    });
+                }
+            });
             let len = shared.len() as u64;
             assert!(len <= 4, "two-generation map exceeded its capacity: {len}");
             // Every distinct insert is cached or counted as evicted.
@@ -2143,6 +1916,6 @@ mod loom_model {
                 (2 * PER_WORKER) as u64,
                 "rotation lost an insert"
             );
-        });
+        }
     }
 }

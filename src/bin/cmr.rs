@@ -1419,27 +1419,16 @@ fn bench(args: &[String]) -> Result<(), String> {
             s.cpus, s.serial_notes_per_sec
         );
         eprintln!(
-            "cmr: {:>4} {:>11} {:>8} {:>9} {:>11} {:>8} {:>9} {:>12} {:>9}",
-            "jobs",
-            "notes/sec",
-            "speedup",
-            "l1-hits",
-            "shared-hits",
-            "misses",
-            "contend",
-            "chan-wait-ns",
-            "reorder"
+            "cmr: {:>4} {:>11} {:>8} {:>8} {:>12} {:>9}",
+            "jobs", "notes/sec", "speedup", "misses", "chan-wait-ns", "reorder"
         );
         for p in &s.points {
             eprintln!(
-                "cmr: {:>4} {:>11.1} {:>7.2}x {:>9} {:>11} {:>8} {:>9} {:>12} {:>9}",
+                "cmr: {:>4} {:>11.1} {:>7.2}x {:>8} {:>12} {:>9}",
                 p.jobs,
                 p.notes_per_sec,
                 p.speedup_vs_jobs1,
-                p.l1_cache_hits,
-                p.shared_cache_hits,
                 p.cache_misses,
-                p.shard_contention,
                 p.channel_wait_nanos,
                 p.reorder_high_water
             );
